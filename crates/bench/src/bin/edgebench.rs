@@ -1,9 +1,9 @@
 //! edgebench — open-loop edge workload generator over the scenario
 //! matrix.
 //!
-//! Where `clusterbench` runs a closed loop (a switch's next PACKET_IN
-//! waits for its previous accept), edgebench is the **open-loop**
-//! harness the paper's edge claims need: a seeded arrival process
+//! Where a closed loop makes a switch's next PACKET_IN wait for its
+//! previous accept, edgebench is the **open-loop** harness the
+//! paper's edge claims need: a seeded arrival process
 //! (Poisson or fixed-rate, per phase) schedules every PACKET_IN up
 //! front, the s-agent fleet injects them at their scheduled instants
 //! whether or not earlier rounds finished, and the report is the
@@ -21,21 +21,23 @@
 //! `workload_digest` and `trace_digest`, and CI diffs them across
 //! reruns.
 //!
-//! Results land in `<out-dir>/scenario_<name>.json`
-//! (`schema_version` 7, shared `curb_bench::report` envelope), next to
-//! the `BENCH_*.json` trajectory files.
+//! Results land in `<out-dir>/scenario_<name>.json` (the
+//! `curb_bench::report` envelope). With `--trace-dir <dir>` the run's
+//! spans are also split by recording node into `<dir>/<node>.jsonl`
+//! (`ctrl0.jsonl`, `agent3.jsonl`, …), the layout `tracedump
+//! --distributed <dir>` stitches back into cross-node rounds.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p curb-bench --bin edgebench -- \
 //!     --scenario scenarios/baseline_internet2.toml \
-//!     [--out-dir results] [--deadline-s 120]
+//!     [--out-dir results] [--deadline-s 120] [--trace-dir traces/]
 //! ```
 
 use curb_bench::report::{self, Json};
 use curb_bench::scenario::{detect_knee, knee_json, PhasePoint, Scenario, Topology};
-use curb_bench::spans::{phase_histograms, phases_json};
+use curb_bench::spans::{phase_histograms, phases_json, write_node_traces};
 use curb_bench::{arg_value, KNEE_RATIO};
 use curb_cluster::{
     bootstrap_pinned, build_schedule, schedule_digest, spawn_fault_script, spawn_injector,
@@ -237,6 +239,7 @@ fn main() {
         std::process::exit(2);
     });
     let out_dir = arg_value("out-dir").unwrap_or_else(|| "results".to_string());
+    let trace_dir = arg_value("trace-dir");
     let deadline_s: u64 = arg_value("deadline-s")
         .and_then(|v| v.parse().ok())
         .unwrap_or(120);
@@ -265,7 +268,16 @@ fn main() {
     // buffers are flushed by the time the scope ends.
     let scope = SpanScope::begin();
     let outcome = run_scenario(&scenario, Duration::from_secs(deadline_s));
-    let span_phases = phase_histograms(&scope.end());
+    let spans = scope.end();
+    if let Some(dir) = &trace_dir {
+        match write_node_traces(dir, &spans) {
+            Ok((files, written)) => {
+                eprintln!("edgebench: {written} spans split across {files} per-node files in {dir}")
+            }
+            Err(e) => eprintln!("warning: could not write per-node traces to {dir}: {e}"),
+        }
+    }
+    let span_phases = phase_histograms(&spans);
 
     let offered_total: u64 = outcome.offered.iter().sum();
     let delivered_total: u64 = outcome.delivered.iter().sum::<u64>() + outcome.late;

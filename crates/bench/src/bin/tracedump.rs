@@ -1,7 +1,8 @@
 //! tracedump — per-phase latency breakdown of a curb-telemetry trace.
 //!
-//! Reads a JSONL span trace (as written by `netbench --trace` or any
-//! program using `curb_telemetry::write_jsonl`) and prints:
+//! Reads a JSONL span trace (any file written with
+//! `curb_telemetry::write_jsonl`, such as the per-node files of
+//! `edgebench --trace-dir`, alone or concatenated) and prints:
 //!
 //! 1. a per-phase table — count, p50/p90/p99/max duration in
 //!    milliseconds — one row per distinct span name;
@@ -32,7 +33,7 @@
 //! ```
 //!
 //! Treats every `*.jsonl` file in `<dir>` as one node's trace (as
-//! written by `clusterbench --trace-dir`), aligns the nodes' clocks
+//! written by `edgebench --trace-dir`), aligns the nodes' clocks
 //! from span containment, stitches spans by trace context into
 //! per-round cross-node critical paths and prints each round's five
 //! legs (request, intra, handoff, final, reply) plus per-leg p50/p99.

@@ -54,7 +54,7 @@ fn run_child(dir: PathBuf) -> ! {
         store.append(block).expect("child: append");
         let mut out = stdout.lock();
         let _ = writeln!(out, "appended {}", store.height());
-        if store.height() % SYNC_EVERY == 0 {
+        if store.height().is_multiple_of(SYNC_EVERY) {
             store.sync().expect("child: sync");
             let _ = writeln!(out, "synced {}", store.height());
         }

@@ -2,7 +2,7 @@
 //! per-round critical paths.
 //!
 //! Input is a directory of traces, one file per node (as written by
-//! `clusterbench --trace-dir`), each recorded against that node's own
+//! `edgebench --trace-dir`), each recorded against that node's own
 //! monotonic clock. Rounds are correlated by [`TraceCtx`] key — the
 //! `(origin, nonce)` pair minted by the issuing s-agent and carried
 //! through every protocol hop — and clocks are aligned with no

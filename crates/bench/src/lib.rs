@@ -5,6 +5,13 @@
 //! runners, sweep definitions and a plain-text table printer. Binaries
 //! accept `--csv` to emit machine-readable output instead.
 //!
+//! Three more binaries drive the socket runtime functionally:
+//! `edgebench` (the declarative scenario matrix, [`scenario`]),
+//! `tracedump` (span files to per-phase and cross-node tables,
+//! [`distributed`]) and `walsmoke` (crash recovery of the chain store).
+//! None of them is a benchmark: performance is measured by `curbbench`,
+//! the standalone package in `benchmark/`.
+//!
 //! Run them with, for example:
 //!
 //! ```text

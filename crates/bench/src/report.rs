@@ -1,29 +1,22 @@
-//! Machine-readable benchmark reports.
+//! Machine-readable reports.
 //!
-//! The socket benchmarks (`netbench`, `clusterbench`) print one JSON
-//! document and write it to a `BENCH_*.json` file the CI smoke jobs
-//! parse. This module is the single JSON-writing path they share: a
-//! tiny [`Json`] value tree (the build is offline, so no serde) plus
-//! [`emit`], which prints the rendered report and persists it.
+//! `edgebench` prints one JSON document per scenario and writes it to
+//! `results/scenario_<name>.json`, which the CI scenario-matrix step
+//! parses; `tracedump --json` renders through the same value tree.
+//! This module is the single JSON-writing path they share: a tiny
+//! [`Json`] value tree (the build is offline, so no serde) plus
+//! [`envelope`] and [`emit`], which prints the rendered report and
+//! persists it.
 //!
-//! Schema version **7**: every report carries `bench`,
-//! `schema_version`, `groups` (the number of controller groups the
-//! workload ran across — 1 for the flat single-group `netbench`
-//! cluster, the CAP solver's group count for `clusterbench` and
-//! `edgebench`) and `host_cores` (`available_parallelism` on the
-//! machine that produced the numbers), both socket benches sweep the
-//! reactor shard count (`shard_counts` knob, `shard_comparison` /
-//! `shard_sweep` tables) and `phases_ns` is populated unconditionally.
-//! New in 7: `host_cores` in the envelope, and the `netbench`
-//! `recovery` block became checkpoint-aware — it records
-//! `checkpoint_interval`, per-history-length runs (`history_runs`
-//! with `history`, `recovery_ms`, `entries_transferred` and
-//! `snapshot_used`), proving catch-up is O(delta) rather than
-//! O(history).
+//! Every report opens with `bench`, `schema_version`, `groups` (the
+//! number of controller groups the workload ran across) and
+//! `host_cores` (`available_parallelism` on the machine that produced
+//! the numbers). Performance numbers are `curbbench`'s job
+//! (`benchmark/README.md`), not this module's.
 
 use std::fmt::Write as _;
 
-/// The schema version every benchmark report stamps.
+/// The schema version every report stamps.
 pub const SCHEMA_VERSION: u64 = 7;
 
 /// A JSON value with deterministic, pretty-printed rendering.
@@ -145,9 +138,8 @@ pub fn escape(s: &str) -> String {
 /// Builds the common report envelope: `bench`, `schema_version`,
 /// `groups` and `host_cores` first, then the benchmark-specific
 /// fields. `host_cores` pins the report to the parallelism of the
-/// machine that produced it, so cross-host comparisons of
-/// shard-sweep and recovery numbers are never apples-to-oranges by
-/// accident.
+/// machine that produced it, so numbers from different hosts are
+/// never compared by accident.
 pub fn envelope(bench: &str, groups: usize, fields: Vec<(&str, Json)>) -> Json {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get() as u64)

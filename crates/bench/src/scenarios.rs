@@ -1,5 +1,4 @@
-//! Scenario runners shared by the figure binaries and Criterion
-//! benches.
+//! Scenario runners shared by the figure binaries.
 
 #![allow(clippy::field_reassign_with_default)]
 use curb_assign::{solve, CapModel, Objective, SolveOptions};

@@ -1,8 +1,9 @@
-//! Shared span → report plumbing for the socket benches.
+//! Span → report plumbing for `edgebench`.
 //!
-//! Every bench embeds a `phases_ns` breakdown (one latency histogram
-//! per span name) in its JSON report; this is the one place that
-//! grouping and rendering live.
+//! A scenario report embeds a `phases_ns` breakdown (one latency
+//! histogram per span name), and `--trace-dir` splits the same spans
+//! into per-node files; this is the one place that grouping and
+//! rendering live.
 
 use crate::report::Json;
 use curb_telemetry::{Histogram, SpanRecord};

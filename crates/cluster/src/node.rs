@@ -708,12 +708,25 @@ impl ControllerNode {
             .or_insert_with(|| (block, BTreeSet::new()));
         entry.1.insert(from);
         let quorum = self.shared.config.f + 1;
-        if entry.1.len() >= quorum {
-            let block = entry.0.clone();
-            if self.append_block(block) {
-                let height = self.chain.height();
-                self.votes.retain(|_, (b, _)| b.header.height > height);
+        if entry.1.len() < quorum {
+            return;
+        }
+        // Announcers differ from height to height, so a block's quorum
+        // can complete before its parent's does. Nobody announces it
+        // again: once the parent lands, append every buffered
+        // successor that already has its quorum.
+        let mut next = Some(entry.0.clone());
+        while let Some(block) = next.take() {
+            if !self.append_block(block) {
+                break;
             }
+            let height = self.chain.height();
+            self.votes.retain(|_, (b, _)| b.header.height > height);
+            next = self
+                .votes
+                .values()
+                .find(|(b, voters)| b.header.height == height + 1 && voters.len() >= quorum)
+                .map(|(b, _)| b.clone());
         }
     }
 

@@ -3,10 +3,19 @@
 //! block → REPLY — including the lying-controller byzantine scenario
 //! and live RE-ASS.
 
-use curb_cluster::{AgentEvent, Cluster, ClusterConfig, NodeBehavior};
+use curb_chain::Block;
+use curb_cluster::{
+    bootstrap_pinned, AgentEvent, ChainStore, Cluster, ClusterConfig, ClusterMsg, ControllerNode,
+    CtrlPayload, NodeBehavior, NodeConfig,
+};
+use curb_consensus::Batch;
 use curb_core::{ConfigData, SwitchId};
 use curb_graph::synthetic;
+use curb_net::{MuxConfig, MuxTransport};
+use std::net::TcpListener;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Watchdog: fail loudly instead of hanging CI if the cluster
@@ -171,14 +180,23 @@ fn lying_controller_is_outvoted_and_recorded() {
 /// The tentpole acceptance scenario: two disjoint groups, a byzantine
 /// controller in one of them, live RE-ASS — the liar is excluded by a
 /// committed reassignment, agents re-home, and commits continue in
-/// the new epoch without halting the other group.
+/// the new epoch without halting the other group. Runs on the
+/// single-shard backbone and again with every node's peer sockets
+/// split across two reactor shards.
 #[test]
 fn multi_group_reass_excludes_liar_and_commits_continue() {
-    with_deadline(180, || {
+    for shards in [1, 2] {
+        multi_group_reass_body(shards);
+    }
+}
+
+fn multi_group_reass_body(shards: usize) {
+    with_deadline(180, move || {
         // 12 controllers / capacity 1 force two disjoint groups of 4
         // and leave spares for the reassignment to draw on.
         let topo = synthetic(12, 2, 17);
         let mut cfg = test_config(1, 3);
+        cfg.shards = shards;
         let cluster = Cluster::launch(&topo, cfg.clone()).expect("probe launch");
         assert!(
             cluster.epoch0.group_count() >= 2,
@@ -268,5 +286,95 @@ fn multi_group_reass_excludes_liar_and_commits_continue() {
         );
         assert!(cluster.max_height() > height_before);
         cluster.shutdown();
+    });
+}
+
+/// A controller outside the final committee adopts a block at `f + 1`
+/// matching announcements, and which members announce differs from
+/// height to height — so block 2's quorum can complete before block
+/// 1's does. One real node, with three committee members played by
+/// hand, must still reach height 2 once block 1's second announcement
+/// lands: nobody will announce block 2 again.
+#[test]
+fn block_announcements_that_overtake_their_parent_are_not_lost() {
+    with_deadline(60, || {
+        // One pinned group of four is the final committee; the other
+        // two controllers are spares outside it.
+        let topo = synthetic(6, 1, 11);
+        let boot = bootstrap_pinned(&topo, test_config(4, 1).curb, 1).expect("bootstrap");
+        let n = boot.shared.plan.n_controllers;
+        let committee = boot.epoch.final_com.clone();
+        let outsider = (0..n)
+            .find(|c| !committee.contains(c))
+            .expect("a controller outside the committee");
+
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind backbone"))
+            .collect();
+        let addrs: Vec<_> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect();
+        let mux_cfg = MuxConfig {
+            cluster_id: boot.shared.config.seed,
+            ..MuxConfig::default()
+        };
+        let mut muxes: Vec<Option<MuxTransport<Batch<CtrlPayload>>>> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(c, l)| {
+                Some(MuxTransport::bind(c, l, addrs.clone(), mux_cfg.clone()).expect("bind mux"))
+            })
+            .collect();
+        let node = ControllerNode::spawn(
+            outsider,
+            Arc::clone(&boot.shared),
+            Arc::clone(&boot.epoch),
+            muxes[outsider].take().expect("outsider's mux"),
+            TcpListener::bind("127.0.0.1:0").expect("bind southbound"),
+            NodeConfig::default(),
+        );
+
+        // The chain every node boots with, rebuilt the way
+        // `ControllerNode::spawn` builds it, and two blocks on top.
+        let genesis = ConfigData::NewAssignment {
+            groups: (0..boot.shared.plan.n_switches)
+                .map(|s| boot.epoch.assignment.group(s).iter().copied().collect())
+                .collect(),
+        }
+        .encode();
+        let b1 = Block::next(ChainStore::ephemeral(&genesis).tip(), Vec::new(), 1);
+        let b2 = Block::next(&b1, Vec::new(), 2);
+        let announce = |member: usize, block: &Block| {
+            let msg = ClusterMsg::FinalBlock {
+                epoch: 0,
+                block: block.clone(),
+            };
+            muxes[member]
+                .as_ref()
+                .expect("committee member's mux")
+                .send_app(outsider, &msg.encode());
+        };
+
+        // Block 2 gathers its quorum while block 1 has one announcement
+        // (if these arrive late, the order below is the harmless one
+        // and the test passes without exercising the overtaking).
+        announce(committee[0], &b1);
+        announce(committee[0], &b2);
+        announce(committee[2], &b2);
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(node.probe.height.load(Ordering::Relaxed), 0);
+        announce(committee[1], &b1);
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.probe.height.load(Ordering::Relaxed) < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "stuck at height {} with block 2's quorum already in hand",
+                node.probe.height.load(Ordering::Relaxed)
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        drop(node);
     });
 }

@@ -85,7 +85,10 @@ fn json_num_field(line: &str, key: &str) -> Option<i64> {
 
 /// The byzantine incident must leave a flight dump carrying the whole
 /// causal chain in order: the liar is flagged, a RE-ASS is issued, and
-/// a node rotates into the new epoch.
+/// a node rotates into the new epoch. Checkpointing is on (interval 8)
+/// and the honest group commits eight rounds first, so some dump must
+/// also hold a `checkpoint_stable` event: log GC runs in the full
+/// multi-group runtime, not only under a bare `NetRunner`.
 #[test]
 fn byzantine_incident_leaves_a_flight_dump_with_the_full_sequence() {
     let _guard = recorder_lock();
@@ -115,7 +118,19 @@ fn byzantine_incident_leaves_a_flight_dump_with_the_full_sequence() {
 
         cfg.behaviors = vec![NodeBehavior::Honest; 12];
         cfg.behaviors[liar] = NodeBehavior::Lying;
+        cfg.node.runner.checkpoint_interval = 8;
         let cluster = Cluster::launch(&topo, cfg).expect("launch");
+        // One round at a time, so each is its own consensus instance
+        // on switch 1's intra lane and on the final lane.
+        let accepted = |seen: &[(SwitchId, AgentEvent)]| {
+            seen.iter()
+                .any(|(s, e)| s.0 == 1 && matches!(e, AgentEvent::Accepted { .. }))
+        };
+        for host in 0..8 {
+            cluster.pkt_in(SwitchId(1), host);
+            let seen = wait_events(&cluster, 30, accepted);
+            assert!(accepted(&seen), "honest round {host} must commit");
+        }
         cluster.pkt_in(SwitchId(0), 1);
         cluster.pkt_in(SwitchId(1), 0);
         let seen = wait_events(&cluster, 120, |seen| {
@@ -132,10 +147,13 @@ fn byzantine_incident_leaves_a_flight_dump_with_the_full_sequence() {
 
         // A rotation dump exists; its event log tells the story in
         // causal order: flag, then RE-ASS, then rotation.
-        let mut rotation_dumps: Vec<_> = std::fs::read_dir(&dir2)
+        let dumps: Vec<_> = std::fs::read_dir(&dir2)
             .expect("dump dir readable")
             .filter_map(|e| e.ok())
             .map(|e| e.path())
+            .collect();
+        let mut rotation_dumps: Vec<_> = dumps
+            .iter()
             .filter(|p| {
                 p.file_name()
                     .and_then(|n| n.to_str())
@@ -153,6 +171,14 @@ fn byzantine_incident_leaves_a_flight_dump_with_the_full_sequence() {
         assert!(
             flag < reass && reass < rotation,
             "dump must order flag ({flag}) < reass ({reass}) < rotation ({rotation})"
+        );
+        assert!(
+            dumps.iter().any(|p| {
+                let text = std::fs::read_to_string(p).expect("dump readable");
+                let (_, events) = parse_dump(&text);
+                events.iter().any(|e| e.kind == EventKind::CheckpointStable)
+            }),
+            "a stable checkpoint must have been reached and recorded"
         );
     });
 

@@ -806,8 +806,10 @@ mod tests {
     #[test]
     fn infeasible_assignment_reported() {
         // D_c,s below the feasibility threshold of the Internet2 CAP.
-        let mut config = CurbConfig::default();
-        config.max_cs_delay_ms = 1.0;
+        let config = CurbConfig {
+            max_cs_delay_ms: 1.0,
+            ..CurbConfig::default()
+        };
         let err = CurbNetwork::new(&internet2(), config).unwrap_err();
         assert!(matches!(err, SetupError::Assignment(_)));
     }
@@ -850,9 +852,11 @@ mod tests {
     #[test]
     fn reassignment_round_on_synthetic_topology() {
         let topo = synthetic(8, 12, 3);
-        let mut config = CurbConfig::default();
-        config.max_cs_delay_ms = f64::INFINITY;
-        config.controller_capacity = 16;
+        let config = CurbConfig {
+            max_cs_delay_ms: f64::INFINITY,
+            controller_capacity: 16,
+            ..CurbConfig::default()
+        };
         let mut net = CurbNetwork::new(&topo, config).unwrap();
         let report = net.run_reassignment_round(Vec::new());
         assert_eq!(report.accepted, report.requests);
@@ -862,9 +866,11 @@ mod tests {
     #[test]
     fn registry_accumulates_round_metrics() {
         let topo = synthetic(8, 12, 3);
-        let mut config = CurbConfig::default();
-        config.max_cs_delay_ms = f64::INFINITY;
-        config.controller_capacity = 16;
+        let config = CurbConfig {
+            max_cs_delay_ms: f64::INFINITY,
+            controller_capacity: 16,
+            ..CurbConfig::default()
+        };
         let mut net = CurbNetwork::new(&topo, config).unwrap();
         let r1 = net.run_round();
         let r2 = net.run_round();

@@ -1,10 +1,9 @@
-//! Link-level fault injection for both TCP transports.
+//! Link-level fault injection for the socket transports.
 //!
 //! A [`LinkFaults`] handle sits on the outbound enqueue path of a
-//! transport ([`TcpTransport`](crate::TcpTransport)'s per-peer queues,
-//! [`ReactorTransport`](crate::ReactorTransport)'s and the mux
-//! backbone's shard rings) and lets a test or scenario driver script
-//! network pathologies **without touching the kernel**:
+//! transport ([`ReactorTransport`](crate::ReactorTransport)'s and the
+//! mux backbone's shard rings) and lets a test or scenario driver
+//! script network pathologies **without touching the kernel**:
 //!
 //! * **Cut** (`cut`/`heal`): frames to a cut peer are silently dropped
 //!   at the sender, exactly as if the path blackholed them. Cutting

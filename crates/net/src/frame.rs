@@ -35,7 +35,7 @@
 
 use curb_chain::codec::{ByteReader, CodecError};
 use curb_consensus::{CommitCert, CommittedEntry, PayloadCodec, PbftMsg};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Default cap on the body size of a single frame (16 MiB).
@@ -426,7 +426,6 @@ pub fn decode_lane_frame_ref<P: PayloadCodec>(frame: &FrameRef) -> Result<LaneFr
 
 /// Incremental decoder for length-prefixed frame streams.
 ///
-/// Unlike [`read_frame`], which pulls bytes from a blocking `Read`,
 /// `FrameDecoder` is push-based: callers feed it whatever chunk a
 /// nonblocking socket happened to return — one byte, half a length
 /// prefix, three frames and a tail — and the decoder invokes a sink
@@ -872,9 +871,9 @@ impl SharedDecoder {
     }
 }
 
-/// Appends `body` to `buf` as a length-prefixed frame (no cap check:
-/// callers enforce `max_frame` at encode time). Both transports use
-/// this to coalesce many frames into one write burst.
+/// Appends `body` to `buf` as a length-prefixed frame with no cap
+/// check, for tests that hand-build a byte stream.
+#[cfg(test)]
 pub(crate) fn append_frame(buf: &mut Vec<u8>, body: &[u8]) {
     buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
     buf.extend_from_slice(body);
@@ -896,52 +895,6 @@ pub fn write_frame(w: &mut impl Write, body: &[u8], max_frame: usize) -> io::Res
     w.write_all(&(body.len() as u32).to_be_bytes())?;
     w.write_all(body)?;
     w.flush()
-}
-
-/// Reads one length-prefixed frame from a stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors (including clean EOF as
-/// [`io::ErrorKind::UnexpectedEof`]); rejects length prefixes larger
-/// than `max_frame` with [`io::ErrorKind::InvalidData`] so a hostile
-/// peer cannot force an unbounded allocation.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    read_frame_into(r, &mut body, max_frame)?;
-    Ok(body)
-}
-
-/// Reads one length-prefixed frame into `buf`, reusing its capacity —
-/// the scratch-buffer variant of [`read_frame`] for blocking reader
-/// loops that would otherwise allocate a fresh `Vec` per frame. The
-/// length prefix is validated against `max_frame` *before* any
-/// allocation, so a hostile length can never force one. On success
-/// `buf` holds exactly the frame body and its length is returned.
-///
-/// # Errors
-///
-/// Propagates I/O errors (including clean EOF as
-/// [`io::ErrorKind::UnexpectedEof`]); rejects length prefixes larger
-/// than `max_frame` with [`io::ErrorKind::InvalidData`]. On error the
-/// contents of `buf` are unspecified.
-pub fn read_frame_into(
-    r: &mut impl Read,
-    buf: &mut Vec<u8>,
-    max_frame: usize,
-) -> io::Result<usize> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {max_frame}"),
-        ));
-    }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
-    Ok(len)
 }
 
 #[cfg(test)]
@@ -1163,27 +1116,6 @@ mod tests {
             decode_msg::<BytesPayload>(&body),
             Err(WireError::Corrupt("state-entry count"))
         );
-    }
-
-    #[test]
-    fn frame_roundtrip_over_stream() {
-        let body = encode_msg(&every_variant()[0]);
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &body, DEFAULT_MAX_FRAME).unwrap();
-        write_frame(&mut stream, b"", DEFAULT_MAX_FRAME).unwrap();
-        let mut cursor = std::io::Cursor::new(stream);
-        assert_eq!(read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap(), body);
-        assert_eq!(read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap(), b"");
-        // Clean EOF surfaces as UnexpectedEof.
-        let err = read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn oversized_length_prefix_rejected() {
-        let mut stream = std::io::Cursor::new((1u32 << 30).to_be_bytes().to_vec());
-        let err = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

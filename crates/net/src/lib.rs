@@ -8,18 +8,15 @@
 //!   [`PbftMsg`](curb_consensus::PbftMsg) (reusing the primitive
 //!   layout of `curb_chain::codec`) plus u32-length-prefixed framing
 //!   with an explicit max-frame-size and total, panic-free decoding;
-//! * [`Transport`] — the channel abstraction, with three
-//!   implementations: [`TcpTransport`] (per-peer writer threads,
-//!   reader threads feeding one event queue, version/peer-id
-//!   handshake, capped exponential backoff reconnect),
-//!   [`ReactorTransport`] (same wire protocol, but every socket
-//!   multiplexed nonblocking onto a small **pool of epoll shards**,
-//!   peers hash-pinned to shards with zero-copy frame decoding and
-//!   vectored writes — the scalable choice, selected with
-//!   `--transport reactor` in the benches and tests) and
-//!   [`LoopbackTransport`] (in-memory,
-//!   deterministic, still round-trips every message through the
-//!   codec);
+//! * [`Transport`] — the channel abstraction, with one socket engine
+//!   under it: [`ReactorTransport`] multiplexes every peer socket
+//!   nonblocking onto a small **pool of epoll shards** (peers
+//!   hash-pinned to shards, zero-copy frame decoding, vectored writes,
+//!   version/peer-id [handshake](encode_hello), capped exponential
+//!   backoff reconnect), [`MuxTransport`] shares one such pool between
+//!   all of a node's consensus lanes, and [`LoopbackTransport`] is the
+//!   in-memory, deterministic stand-in that still round-trips every
+//!   message through the codec;
 //! * [`NetRunner`] — the batch-first event loop that owns a
 //!   [`Replica`](curb_consensus::Replica) over
 //!   [`Batch`](curb_consensus::Batch)ed payloads: it coalesces queued
@@ -36,8 +33,11 @@
 //! The same machinery is deliberately payload-generic: any type
 //! implementing [`Payload`](curb_consensus::Payload) +
 //! [`PayloadCodec`](curb_consensus::PayloadCodec) — bytes in tests,
-//! transaction batches in a full controller — runs over either
+//! transaction batches in a full controller — runs over any
 //! transport unchanged, so `curb-core` controllers can reuse it as-is.
+//!
+//! The socket engine is raw epoll (`sys.rs` declares the libc externs
+//! itself), so the crate builds on Linux only.
 //!
 //! # Example
 //!
@@ -67,28 +67,30 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "curb-net drives its sockets through raw epoll (src/sys.rs) and builds on Linux only"
+);
+
 mod fault;
 pub mod frame;
+mod handshake;
 mod mux;
 mod reactor;
 mod runner;
 #[allow(unsafe_code)]
 mod sys;
-mod tcp;
 mod transport;
 
 pub use fault::LinkFaults;
 pub use frame::{
     decode_lane_frame, decode_lane_frame_ref, decode_msg, encode_lane_app_into,
-    encode_lane_msg_into, encode_msg, encode_msg_into, read_frame, read_frame_into, write_frame,
-    FrameDecoder, FrameRef, LaneFrame, SharedDecoder, WireError, APP_LANE, DEFAULT_DECODE_BLOCK,
-    DEFAULT_MAX_FRAME, MAX_CERT_VOTERS, MAX_STATE_ENTRIES,
+    encode_lane_msg_into, encode_msg, encode_msg_into, write_frame, FrameDecoder, FrameRef,
+    LaneFrame, SharedDecoder, WireError, APP_LANE, DEFAULT_DECODE_BLOCK, DEFAULT_MAX_FRAME,
+    MAX_CERT_VOTERS, MAX_STATE_ENTRIES,
 };
+pub use handshake::{encode_hello, validate_hello, HANDSHAKE_LEN, HANDSHAKE_MAGIC};
 pub use mux::{AppEvent, Lane, MuxConfig, MuxTransport, NodeId};
 pub use reactor::{shard_for_peer, ReactorConfig, ReactorTransport, MAX_SHARDS};
 pub use runner::{Delivery, NetRunner, RunnerConfig, RunnerHandle, RunnerStats};
-pub use tcp::{
-    encode_hello, validate_hello, PeerManager, TcpConfig, TcpTransport, HANDSHAKE_LEN,
-    HANDSHAKE_MAGIC,
-};
-pub use transport::{LoopbackTransport, NetEvent, Transport, TransportKind};
+pub use transport::{LoopbackTransport, NetEvent, Transport};

@@ -223,7 +223,7 @@ impl<P> MuxCore<P> {
 ///
 /// Implements [`Transport`] with lane-local replica ids, so a
 /// [`NetRunner`](crate::NetRunner) drives it exactly like a dedicated
-/// [`TcpTransport`](crate::TcpTransport). [`shutdown`] unregisters the
+/// [`ReactorTransport`](crate::ReactorTransport). [`shutdown`] unregisters the
 /// lane: later inbound frames for it are dropped, which is how a
 /// finished epoch's instances leave the wire without tearing down the
 /// node's sockets.
@@ -503,7 +503,7 @@ impl<P> Drop for MuxTransport<P> {
 mod tests {
     use super::*;
     use crate::frame::append_frame;
-    use crate::tcp::encode_hello;
+    use crate::handshake::encode_hello;
     use curb_consensus::{BytesPayload, Payload};
     use std::io::Write;
     use std::net::TcpStream;

@@ -1,14 +1,15 @@
 //! Sharded poll-based reactor transport: thousands of peers, a small
 //! pool of event-loop threads.
 //!
-//! [`TcpTransport`](crate::TcpTransport) spends two OS threads per
-//! peer (a reader and a writer), which caps a replica at a few hundred
-//! connections and makes per-message cost dominated by wakeups and
-//! context switches. [`ReactorTransport`] runs the same wire protocol
-//! — identical frames, identical 32-byte handshake, identical
-//! unidirectional-connection model — on a [`ShardPool`]: `shards`
-//! event-loop threads that own every socket in nonblocking mode behind
-//! a raw epoll shim ([`crate::sys`]).
+//! Two OS threads per peer (a blocking reader and a writer) would cap
+//! a replica at a few hundred connections and make per-message cost
+//! dominated by wakeups and context switches. [`ReactorTransport`]
+//! instead runs the wire protocol — length-prefixed frames, the
+//! 32-byte handshake ([`crate::encode_hello`]), one unidirectional
+//! connection per ordered replica pair (the dialer writes, the
+//! acceptor reads, so simultaneous connects need no tie-break) — on a
+//! [`ShardPool`]: `shards` event-loop threads that own every socket
+//! in nonblocking mode behind a raw epoll shim ([`crate::sys`]).
 //!
 //! * **Work partitioning, no work stealing.** Every peer socket is
 //!   hash-pinned to exactly one shard ([`shard_for_peer`]); a shard
@@ -34,9 +35,9 @@
 //!   mark is emptied, the drops are counted
 //!   (`net.backpressure_drops`), and the peer's connection is torn
 //!   down and re-dialed.
-//! * **Reconnects** reuse the capped-exponential-backoff policy of the
-//!   threaded transport, as timer events on a coarse per-shard timing
-//!   wheel that also bounds the `epoll_wait` timeout.
+//! * **Reconnects** follow a capped exponential backoff, as timer
+//!   events on a coarse per-shard timing wheel that also bounds the
+//!   `epoll_wait` timeout.
 //!
 //! The pool is transport-agnostic: [`ReactorTransport`] decodes frames
 //! into PBFT messages, while the node-level mux
@@ -47,14 +48,14 @@
 //! Observability: `net.poll_wait_ns` (time blocked in `epoll_wait`),
 //! `net.events_per_wake`, `net.ready_queue_depth`,
 //! `net.backpressure_drops`, `net.shard_count`, `net.shard<i>.conns`
-//! (sockets owned per shard), `net.decode_copy_bytes`, plus the
-//! `net.encode_ns`/`net.read_ns`/`net.write_ns`/`net.queue_depth`/
-//! `net.reconnects` families shared with the threaded transport.
+//! (sockets owned per shard), `net.decode_copy_bytes`,
+//! `net.encode_ns`, `net.read_ns`, `net.write_ns`, `net.queue_depth`
+//! and `net.reconnects`.
 
 use crate::fault::LinkFaults;
 use crate::frame::{decode_msg, encode_msg_into, FrameRef, SharedDecoder, DEFAULT_MAX_FRAME};
+use crate::handshake::{encode_hello, validate_hello, HANDSHAKE_LEN};
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::tcp::{encode_hello, validate_hello, HANDSHAKE_LEN};
 use crate::transport::{NetEvent, Transport};
 use curb_consensus::{PayloadCodec, PbftMsg, ReplicaId};
 use curb_telemetry::{Counter, Gauge, HistogramHandle, Registry};
@@ -1449,9 +1450,7 @@ impl<P: PayloadCodec + Send + 'static> ShardSink for ReplicaSink<P> {
 /// A [`Transport`] over real TCP sockets, multiplexed by a pool of
 /// epoll shard threads instead of two threads per peer.
 ///
-/// Wire-compatible with [`crate::TcpTransport`] — same frames, same
-/// handshake, same unidirectional connections — so the two transports
-/// interoperate in a mixed cluster. Bind each replica with
+/// Bind each replica with
 /// [`ReactorTransport::bind`], giving every replica the same ordered
 /// list of peer addresses (index = replica id). With the default
 /// `shards = 1` the transport costs exactly one networking thread;

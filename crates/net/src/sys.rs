@@ -10,8 +10,8 @@
 //! `curb-net`; everything above it works with safe `TcpStream`s and
 //! raw-fd integers.
 //!
-//! Only compiled on Linux (`target_os = "linux"`); the reactor module
-//! that sits on top carries the same gate.
+//! Linux only: the crate root refuses to compile for any other
+//! `target_os`, since every socket transport sits on this module.
 
 use std::io::{self, IoSlice};
 use std::net::{SocketAddr, TcpStream};

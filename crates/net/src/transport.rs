@@ -8,8 +8,8 @@
 //! [`LoopbackTransport`] is the deterministic in-memory implementation
 //! used by unit and integration tests. It still round-trips every
 //! message through the wire codec ([`crate::frame`]), so a loopback
-//! cluster exercises the exact byte path a TCP cluster does — only the
-//! socket layer is skipped.
+//! cluster exercises the exact byte path a socket cluster does — only
+//! the socket layer is skipped.
 //!
 //! State-transfer frames ride the same channel as every other
 //! [`PbftMsg`]: a `STATE-RESPONSE` must fit one frame, which is why
@@ -23,50 +23,6 @@ use curb_consensus::{PayloadCodec, PbftMsg, ReplicaId};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Which TCP transport implementation to run a replica on. Both speak
-/// the same wire protocol and interoperate freely; they differ only in
-/// threading model. Parsed from `--transport {threaded,reactor}` by
-/// `netbench` and the cluster tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// [`crate::TcpTransport`]: two OS threads per peer.
-    Threaded,
-    /// [`crate::ReactorTransport`]: a pool of epoll event-loop shards
-    /// (one by default) servicing all peers nonblocking, with peers
-    /// hash-pinned to shards.
-    Reactor,
-}
-
-impl TransportKind {
-    /// The lowercase CLI/JSON name of this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TransportKind::Threaded => "threaded",
-            TransportKind::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(TransportKind::Threaded),
-            "reactor" => Ok(TransportKind::Reactor),
-            other => Err(format!(
-                "unknown transport {other:?} (expected \"threaded\" or \"reactor\")"
-            )),
-        }
-    }
-}
 
 /// Something a transport delivered to the local replica.
 #[derive(Debug, Clone, PartialEq)]

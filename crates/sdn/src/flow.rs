@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn lookup_does_not_count() {
-        let mut t = FlowTable::with_table_miss();
+        let t = FlowTable::with_table_miss();
         let _ = t.lookup(&pkt(1, 2));
         assert_eq!(t.total_packets(), 0);
     }

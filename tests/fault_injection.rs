@@ -4,15 +4,13 @@
 //! converge to **full commit identity** — every replica, including the
 //! faulted one, delivers the identical (seq, index, payload) stream.
 //!
-//! Both scenarios run under the thread-per-peer `TcpTransport` AND the
-//! epoll `ReactorTransport`: the fault hooks live in the shared send
-//! paths, so neither transport may behave differently.
+//! Both scenarios run on the epoll `ReactorTransport`; the fault hooks
+//! sit on the `ShardPool` enqueue path it shares with the node mux.
 
 use curb::cluster::FaultPlane;
 use curb::consensus::{Batch, BytesPayload, Replica};
 use curb::net::{
     Delivery, LinkFaults, NetRunner, ReactorConfig, ReactorTransport, RunnerConfig, RunnerHandle,
-    TcpConfig, TcpTransport, TransportKind,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::RecvTimeoutError;
@@ -46,47 +44,25 @@ fn payload(i: usize) -> BytesPayload {
 /// together with its transport's fault handle, so the test can script
 /// cuts and delays while the runner owns the transport.
 fn spawn_faultable(
-    kind: TransportKind,
     id: usize,
     listener: TcpListener,
     addrs: &[SocketAddr],
     cfg: RunnerConfig,
 ) -> (RunnerHandle<BytesPayload>, Arc<LinkFaults>) {
-    let replica = Replica::new(id, addrs.len());
-    match kind {
-        TransportKind::Threaded => {
-            let tcp_cfg = TcpConfig {
-                backoff_base: Duration::from_millis(10),
-                backoff_max: Duration::from_millis(200),
-                poll_interval: Duration::from_millis(10),
-                ..TcpConfig::default()
-            };
-            let transport: TcpTransport<Batch<BytesPayload>> =
-                TcpTransport::bind(id, listener, addrs.to_vec(), tcp_cfg).expect("bind transport");
-            let faults = transport.faults();
-            (NetRunner::spawn(replica, transport, cfg), faults)
-        }
-        TransportKind::Reactor => {
-            let reactor_cfg = ReactorConfig {
-                backoff_base: Duration::from_millis(10),
-                backoff_max: Duration::from_millis(200),
-                tick: Duration::from_millis(2),
-                ..ReactorConfig::default()
-            };
-            let transport: ReactorTransport<Batch<BytesPayload>> =
-                ReactorTransport::bind(id, listener, addrs.to_vec(), reactor_cfg)
-                    .expect("bind transport");
-            let faults = transport.faults();
-            (NetRunner::spawn(replica, transport, cfg), faults)
-        }
-    }
+    let reactor_cfg = ReactorConfig {
+        backoff_base: Duration::from_millis(10),
+        backoff_max: Duration::from_millis(200),
+        tick: Duration::from_millis(2),
+        ..ReactorConfig::default()
+    };
+    let transport: ReactorTransport<Batch<BytesPayload>> =
+        ReactorTransport::bind(id, listener, addrs.to_vec(), reactor_cfg).expect("bind transport");
+    let faults = transport.faults();
+    let runner = NetRunner::spawn(Replica::new(id, addrs.len()), transport, cfg);
+    (runner, faults)
 }
 
-fn spawn_cluster(
-    kind: TransportKind,
-    n: usize,
-    cfg: &RunnerConfig,
-) -> (Vec<RunnerHandle<BytesPayload>>, FaultPlane) {
+fn spawn_cluster(n: usize, cfg: &RunnerConfig) -> (Vec<RunnerHandle<BytesPayload>>, FaultPlane) {
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
         .collect();
@@ -97,7 +73,7 @@ fn spawn_cluster(
     let mut handles = Vec::with_capacity(n);
     let mut fault_handles = Vec::with_capacity(n);
     for (id, l) in listeners.into_iter().enumerate() {
-        let (h, f) = spawn_faultable(kind, id, l, &addrs, cfg.clone());
+        let (h, f) = spawn_faultable(id, l, &addrs, cfg.clone());
         handles.push(h);
         fault_handles.push(f);
     }
@@ -123,17 +99,8 @@ fn drain(
 }
 
 #[test]
-fn partition_heals_to_identical_logs_tcp() {
-    with_deadline(Duration::from_secs(180), || {
-        partition_heal_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn partition_heals_to_identical_logs_reactor() {
-    with_deadline(Duration::from_secs(180), || {
-        partition_heal_body(TransportKind::Reactor)
-    });
+    with_deadline(Duration::from_secs(180), partition_heal_body);
 }
 
 /// Replica 3 is partitioned away **mid-round** — proposals are in
@@ -141,14 +108,14 @@ fn partition_heals_to_identical_logs_reactor() {
 /// healed replica discovers the gap from live traffic and recovers the
 /// missing prefix via state transfer, converging to the identical log
 /// without ever restarting.
-fn partition_heal_body(kind: TransportKind) {
+fn partition_heal_body() {
     const N: usize = 4;
     const PHASE: usize = 20;
     let cfg = RunnerConfig {
         catch_up_timeout: Duration::from_millis(200),
         ..RunnerConfig::default()
     };
-    let (handles, plane) = spawn_cluster(kind, N, &cfg);
+    let (handles, plane) = spawn_cluster(N, &cfg);
 
     // Phase 1 — healthy cluster commits a prefix.
     for i in 0..PHASE {
@@ -195,27 +162,18 @@ fn partition_heal_body(kind: TransportKind) {
 }
 
 #[test]
-fn slow_leader_lane_still_commits_tcp() {
-    with_deadline(Duration::from_secs(180), || {
-        slow_leader_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn slow_leader_lane_still_commits_reactor() {
-    with_deadline(Duration::from_secs(180), || {
-        slow_leader_body(TransportKind::Reactor)
-    });
+    with_deadline(Duration::from_secs(180), slow_leader_body);
 }
 
 /// Every link touching the view-0 leader gets 20 ms of injected one-way
 /// delay while proposals flow. Rounds must keep committing — slower,
 /// never wedged — and all replicas converge to the identical log; the
 /// delay line must actually have parked frames.
-fn slow_leader_body(kind: TransportKind) {
+fn slow_leader_body() {
     const N: usize = 4;
     const PROPOSALS: usize = 30;
-    let (handles, plane) = spawn_cluster(kind, N, &RunnerConfig::default());
+    let (handles, plane) = spawn_cluster(N, &RunnerConfig::default());
 
     // Warm the cluster so every peer link is up before the delay lands.
     assert!(handles[0].propose(payload(0)));

@@ -1,6 +1,6 @@
 //! Integration tests for the networked runtime: the same `Replica`
 //! code path must commit identically over the in-memory loopback
-//! transport and over real localhost TCP sockets, a TCP cluster must
+//! transport and over real localhost TCP sockets, a socket cluster must
 //! survive a replica being killed and rejoining — with the restarted
 //! replica recovering the **full committed prefix** via state
 //! transfer and then carrying quorum weight — batches must unfold
@@ -13,15 +13,13 @@
 //! low-water mark — healed by a snapshot install plus delta replay,
 //! never by re-delivering the pruned prefix.
 //!
-//! Every socket-level scenario runs under **both** TCP transports —
-//! the thread-per-peer `TcpTransport` and the epoll `ReactorTransport`
-//! — via a [`TransportKind`] parameter; the test bodies are otherwise
-//! identical, which is the point: `NetRunner` cannot tell them apart.
+//! Every socket-level scenario runs on the epoll `ReactorTransport`,
+//! the one socket engine; `NetRunner` cannot tell it from the loopback.
 
 use curb::consensus::{Batch, Behavior, BytesPayload, Replica, Seq};
 use curb::net::{
     Delivery, LoopbackTransport, NetRunner, ReactorConfig, ReactorTransport, RunnerConfig,
-    RunnerHandle, TcpConfig, TcpTransport, TransportKind,
+    RunnerHandle,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::RecvTimeoutError;
@@ -54,15 +52,6 @@ fn payload(i: usize) -> BytesPayload {
     BytesPayload(format!("proposal-{i}").into_bytes())
 }
 
-fn fast_tcp_cfg() -> TcpConfig {
-    TcpConfig {
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(200),
-        poll_interval: Duration::from_millis(10),
-        ..TcpConfig::default()
-    }
-}
-
 fn fast_reactor_cfg() -> ReactorConfig {
     ReactorConfig {
         backoff_base: Duration::from_millis(10),
@@ -83,21 +72,17 @@ fn bind_listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
     (listeners, addrs)
 }
 
-/// Spawns one replica over real sockets, on whichever transport
-/// implementation `kind` selects — the only line a test changes to run
-/// the exact same scenario over the threaded or the reactor transport.
+/// Spawns one honest replica over real sockets.
 fn spawn_net_replica(
-    kind: TransportKind,
     id: usize,
     listener: TcpListener,
     addrs: &[SocketAddr],
     cfg: RunnerConfig,
 ) -> RunnerHandle<BytesPayload> {
-    spawn_net_replica_with(kind, id, listener, addrs, cfg, Behavior::Honest)
+    spawn_net_replica_with(id, listener, addrs, cfg, Behavior::Honest)
 }
 
 fn spawn_net_replica_with(
-    kind: TransportKind,
     id: usize,
     listener: TcpListener,
     addrs: &[SocketAddr],
@@ -106,20 +91,10 @@ fn spawn_net_replica_with(
 ) -> RunnerHandle<BytesPayload> {
     let mut replica = Replica::new(id, addrs.len());
     replica.set_behavior(behavior);
-    match kind {
-        TransportKind::Threaded => {
-            let transport: TcpTransport<Batch<BytesPayload>> =
-                TcpTransport::bind(id, listener, addrs.to_vec(), fast_tcp_cfg())
-                    .expect("bind transport");
-            NetRunner::spawn(replica, transport, cfg)
-        }
-        TransportKind::Reactor => {
-            let transport: ReactorTransport<Batch<BytesPayload>> =
-                ReactorTransport::bind(id, listener, addrs.to_vec(), fast_reactor_cfg())
-                    .expect("bind transport");
-            NetRunner::spawn(replica, transport, cfg)
-        }
-    }
+    let transport: ReactorTransport<Batch<BytesPayload>> =
+        ReactorTransport::bind(id, listener, addrs.to_vec(), fast_reactor_cfg())
+            .expect("bind transport");
+    NetRunner::spawn(replica, transport, cfg)
 }
 
 fn spawn_loopback_cluster(n: usize, cfg: RunnerConfig) -> Vec<RunnerHandle<BytesPayload>> {
@@ -172,16 +147,7 @@ fn assert_logs_consistent(logs: &[Vec<Delivery<BytesPayload>>], count: usize) {
 }
 
 #[test]
-fn loopback_and_tcp_clusters_commit_identically() {
-    loopback_vs_socket_body(TransportKind::Threaded);
-}
-
-#[test]
 fn loopback_and_reactor_clusters_commit_identically() {
-    loopback_vs_socket_body(TransportKind::Reactor);
-}
-
-fn loopback_vs_socket_body(kind: TransportKind) {
     const N: usize = 4;
     const PROPOSALS: usize = 100;
 
@@ -203,7 +169,7 @@ fn loopback_vs_socket_body(kind: TransportKind) {
     let sockets: Vec<_> = listeners
         .into_iter()
         .enumerate()
-        .map(|(id, l)| spawn_net_replica(kind, id, l, &addrs, RunnerConfig::default()))
+        .map(|(id, l)| spawn_net_replica(id, l, &addrs, RunnerConfig::default()))
         .collect();
     let socket_logs = drive(&sockets, PROPOSALS);
     for h in sockets {
@@ -291,34 +257,17 @@ fn leaderless_cluster_commits_via_timeout_view_change() {
 }
 
 #[test]
-fn tcp_cluster_survives_kill_and_reconnect() {
-    with_deadline(Duration::from_secs(180), || {
-        kill_and_reconnect_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn reactor_cluster_survives_kill_and_reconnect() {
-    with_deadline(Duration::from_secs(180), || {
-        kill_and_reconnect_body(TransportKind::Reactor)
-    });
+    with_deadline(Duration::from_secs(180), kill_and_reconnect_body);
 }
 
-fn kill_and_reconnect_body(kind: TransportKind) {
+fn kill_and_reconnect_body() {
     const N: usize = 4;
     let (listeners, addrs) = bind_listeners(N);
     let mut handles: Vec<Option<RunnerHandle<BytesPayload>>> = listeners
         .into_iter()
         .enumerate()
-        .map(|(id, l)| {
-            Some(spawn_net_replica(
-                kind,
-                id,
-                l,
-                &addrs,
-                RunnerConfig::default(),
-            ))
-        })
+        .map(|(id, l)| Some(spawn_net_replica(id, l, &addrs, RunnerConfig::default())))
         .collect();
 
     // Proposals are submitted one at a time and confirmed before the
@@ -355,7 +304,6 @@ fn kill_and_reconnect_body(kind: TransportKind) {
     // down; peers reconnect via backoff.
     let listener = TcpListener::bind(addrs[3]).expect("rebind replica 3's port");
     handles[3] = Some(spawn_net_replica(
-        kind,
         3,
         listener,
         &addrs,
@@ -397,23 +345,14 @@ fn kill_and_reconnect_body(kind: TransportKind) {
 }
 
 #[test]
-fn restarted_replica_catches_up_under_continuous_load() {
-    with_deadline(Duration::from_secs(180), || {
-        catch_up_under_load_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn restarted_replica_catches_up_under_continuous_load_reactor() {
-    with_deadline(Duration::from_secs(180), || {
-        catch_up_under_load_body(TransportKind::Reactor)
-    });
+    with_deadline(Duration::from_secs(180), catch_up_under_load_body);
 }
 
 /// Kills and restarts a replica while the cluster is under continuous
 /// batched load, so catch-up races live commits: by the time the first
 /// state chunk lands, new instances have already decided above it.
-fn catch_up_under_load_body(kind: TransportKind) {
+fn catch_up_under_load_body() {
     const N: usize = 4;
     const PHASE: usize = 100; // payloads per phase, 3 phases
     let cfg = RunnerConfig {
@@ -426,7 +365,7 @@ fn catch_up_under_load_body(kind: TransportKind) {
     let mut handles: Vec<Option<RunnerHandle<BytesPayload>>> = listeners
         .into_iter()
         .enumerate()
-        .map(|(id, l)| Some(spawn_net_replica(kind, id, l, &addrs, cfg.clone())))
+        .map(|(id, l)| Some(spawn_net_replica(id, l, &addrs, cfg.clone())))
         .collect();
 
     let drain = |h: &RunnerHandle<BytesPayload>,
@@ -469,7 +408,7 @@ fn catch_up_under_load_body(kind: TransportKind) {
     // Phase 3 — restart replica 3 and IMMEDIATELY pour on more load,
     // so its state transfer runs concurrently with live consensus.
     let listener = TcpListener::bind(addrs[3]).expect("rebind replica 3's port");
-    handles[3] = Some(spawn_net_replica(kind, 3, listener, &addrs, cfg.clone()));
+    handles[3] = Some(spawn_net_replica(3, listener, &addrs, cfg.clone()));
     for i in 2 * PHASE..3 * PHASE {
         assert!(handles[0].as_ref().expect("leader").propose(payload(i)));
     }
@@ -505,17 +444,8 @@ fn catch_up_under_load_body(kind: TransportKind) {
 }
 
 #[test]
-fn lying_state_peer_is_rejected_and_another_peer_retried() {
-    with_deadline(Duration::from_secs(180), || {
-        lying_state_peer_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn lying_state_peer_is_rejected_and_another_peer_retried_reactor() {
-    with_deadline(Duration::from_secs(180), || {
-        lying_state_peer_body(TransportKind::Reactor)
-    });
+    with_deadline(Duration::from_secs(180), lying_state_peer_body);
 }
 
 /// Replica 0 leads view 0 honestly but serves state-transfer entries
@@ -524,7 +454,7 @@ fn lying_state_peer_is_rejected_and_another_peer_retried_reactor() {
 /// rotation starts at `(id + 1) % n = 0`), so recovery only succeeds
 /// if the bad certificates are rejected and the request is retried
 /// against an honest peer.
-fn lying_state_peer_body(kind: TransportKind) {
+fn lying_state_peer_body() {
     const N: usize = 4;
     let cfg = RunnerConfig {
         catch_up_timeout: Duration::from_millis(200),
@@ -540,14 +470,7 @@ fn lying_state_peer_body(kind: TransportKind) {
             } else {
                 Behavior::Honest
             };
-            Some(spawn_net_replica_with(
-                kind,
-                id,
-                l,
-                &addrs,
-                cfg.clone(),
-                behavior,
-            ))
+            Some(spawn_net_replica_with(id, l, &addrs, cfg.clone(), behavior))
         })
         .collect();
 
@@ -579,7 +502,7 @@ fn lying_state_peer_body(kind: TransportKind) {
     // Restart replica 3 and commit more: live traffic reveals the gap
     // and triggers catch-up against the lying peer first.
     let listener = TcpListener::bind(addrs[3]).expect("rebind replica 3's port");
-    handles[3] = Some(spawn_net_replica(kind, 3, listener, &addrs, cfg.clone()));
+    handles[3] = Some(spawn_net_replica(3, listener, &addrs, cfg.clone()));
     for i in 10..15 {
         expect_commit(&handles, &[0, 1, 2], (i + 1) as Seq, i);
     }
@@ -622,16 +545,13 @@ fn lying_state_peer_body(kind: TransportKind) {
 }
 
 #[test]
-fn snapshot_catch_up_below_the_low_water_mark() {
-    with_deadline(Duration::from_secs(180), || {
-        snapshot_catch_up_body(TransportKind::Threaded)
-    });
-}
-
-#[test]
 fn snapshot_catch_up_below_the_low_water_mark_reactor() {
+    // Ten times the history must not cost more transferred entries:
+    // catch-up is O(delta above the stable checkpoint), not O(history).
     with_deadline(Duration::from_secs(180), || {
-        snapshot_catch_up_body(TransportKind::Reactor)
+        for history in [27, 270] {
+            snapshot_catch_up_body(history);
+        }
     });
 }
 
@@ -644,9 +564,17 @@ fn snapshot_catch_up_below_the_low_water_mark_reactor() {
 /// which also means the rejoined replica does NOT re-deliver the
 /// pruned prefix. The killed replica 2 makes the rejoined replica
 /// load-bearing: further commits need it in the quorum.
-fn snapshot_catch_up_body(kind: TransportKind) {
+///
+/// `history` is how many commits exist when replica 3 restarts. What
+/// recovery transfers and delivers is bounded by one constant whatever
+/// the history: a donor's log holds at most two checkpoint intervals
+/// above its low-water mark, plus the commits made after the restart.
+fn snapshot_catch_up_body(history: usize) {
     const N: usize = 4;
     const INTERVAL: u64 = 4;
+    const LIVE: usize = 5; // commits after the restart
+    const DELTA_BOUND: u64 = 2 * INTERVAL + LIVE as u64;
+    let frontier = history + LIVE;
     let cfg = RunnerConfig {
         checkpoint_interval: INTERVAL,
         catch_up_timeout: Duration::from_millis(200),
@@ -656,7 +584,7 @@ fn snapshot_catch_up_body(kind: TransportKind) {
     let mut handles: Vec<Option<RunnerHandle<BytesPayload>>> = listeners
         .into_iter()
         .enumerate()
-        .map(|(id, l)| Some(spawn_net_replica(kind, id, l, &addrs, cfg.clone())))
+        .map(|(id, l)| Some(spawn_net_replica(id, l, &addrs, cfg.clone())))
         .collect();
 
     let expect_commit =
@@ -681,25 +609,26 @@ fn snapshot_catch_up_body(kind: TransportKind) {
     handles[3].take().expect("replica 3").join();
 
     // Phase 2 — commit far past several checkpoint intervals. The
-    // donors' low-water marks advance to at least seq 24 (interval 4,
-    // 27 commits), well above replica 3's gap start at seq 4: the
-    // entries it needs first no longer exist in any donor's log.
-    for i in 3..27 {
+    // donors' low-water marks advance to within two intervals of
+    // `history` (seq 20 or later after 27 commits), well above replica
+    // 3's gap start at seq 4: the entries it needs first no longer
+    // exist in any donor's log.
+    for i in 3..history {
         expect_commit(&handles, &[0, 1, 2], (i + 1) as Seq, i);
     }
 
     // Phase 3 — restart replica 3 fresh, then kill replica 2 so
     // commits REQUIRE the rejoined replica in the quorum.
     let listener = TcpListener::bind(addrs[3]).expect("rebind replica 3's port");
-    handles[3] = Some(spawn_net_replica(kind, 3, listener, &addrs, cfg.clone()));
+    handles[3] = Some(spawn_net_replica(3, listener, &addrs, cfg.clone()));
     handles[2].take().expect("replica 2").join();
-    for i in 27..32 {
+    for i in history..frontier {
         expect_commit(&handles, &[0, 1], (i + 1) as Seq, i);
     }
 
     // The rejoined replica converges on the suffix: everything it
-    // delivers is in global order and it reaches the live frontier
-    // (seq 32). It must NOT be required to re-deliver the pruned
+    // delivers is in global order and it reaches the live frontier.
+    // It must NOT be required to re-deliver the pruned
     // prefix — the stable checkpoint replaced those entries — so the
     // assertion is on suffix convergence, not on full redelivery.
     let h3 = handles[3].as_ref().expect("restarted replica");
@@ -712,7 +641,7 @@ fn snapshot_catch_up_body(kind: TransportKind) {
         assert!(d.seq > last_seq, "rejoined replica replayed out of order");
         last_seq = d.seq;
         assert_eq!(d.payload, payload(d.seq as usize - 1), "rejoined replica");
-        if d.seq == 32 {
+        if d.seq == frontier as Seq {
             break;
         }
     }
@@ -727,9 +656,19 @@ fn snapshot_catch_up_body(kind: TransportKind) {
         "a gap below the donors' low-water mark must be healed by a \
          snapshot install, not per-entry transfer"
     );
+    // Either count may legitimately be small, even 0 transferred:
+    // donors flush buffered votes on reconnect, which can decide the
+    // delta live before the snapshot's own delta is replayed.
     assert!(
-        stats.delivered < 32,
-        "the checkpointed prefix must not be re-delivered entry by entry"
+        stats.state_entries_applied <= DELTA_BOUND,
+        "history {history}: {} entries transferred, catch-up is not O(delta)",
+        stats.state_entries_applied
+    );
+    assert!(
+        stats.delivered <= DELTA_BOUND,
+        "history {history}: {} payloads delivered, the checkpointed prefix \
+         must not be re-delivered entry by entry",
+        stats.delivered
     );
     for h in handles.into_iter().flatten() {
         h.join();

@@ -1,39 +1,43 @@
-//! The reactor transport's scalability claim, measured: a 16-replica
+//! The socket engine's scalability claim, measured: a 16-replica
 //! localhost cluster must run with at most 3 OS threads per replica
-//! spent on networking. The thread-per-peer `TcpTransport` would need
-//! ~31 networking threads per replica at this group size (one accept
-//! thread plus a reader and a writer per peer); the reactor needs
-//! exactly one.
+//! spent on networking (a reader and a writer per peer would need ~31
+//! at this group size; the reactor needs exactly one), and a sharded
+//! backbone must run exactly `shards` event-loop threads.
 //!
-//! This test lives in its own integration binary on purpose: each
-//! integration test file is its own process, so `/proc/self/status`
-//! thread counts are not polluted by unrelated tests running
-//! concurrently in the same harness.
+//! Threads are counted by kernel name (`/proc/self/task/*/comm`), not
+//! by the process-wide `Threads:` total: the two tests run concurrently
+//! in one process, and each must see only its own threads. `comm` holds
+//! 15 bytes, so `ReactorTransport`'s `curb-net-reactor-{id}-s{idx}`
+//! reads `curb-net-reacto` for every id and shard; the mux backbone's
+//! `curb-mux-{id}-s{idx}` fits whole. The first test therefore counts
+//! the `curb-net-` family and the second binds `MuxTransport`s — the
+//! same `ShardPool` under another prefix — and matches exact names.
 
 use curb::consensus::{Batch, BytesPayload, Replica};
-use curb::net::{NetRunner, ReactorConfig, ReactorTransport, RunnerConfig, RunnerHandle};
+use curb::net::{
+    MuxConfig, MuxTransport, NetRunner, ReactorConfig, ReactorTransport, RunnerConfig, RunnerHandle,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-/// Reads this process's current OS thread count from
-/// `/proc/self/status` (the `Threads:` line).
-fn os_thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .expect("Threads: line present")
-        .trim()
-        .parse()
-        .expect("thread count parses")
+/// The kernel names (`comm`, at most 15 bytes) of this process's
+/// threads that start with `prefix`. A thread that exits mid-scan is
+/// skipped.
+fn threads_named(prefix: &str) -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with(prefix))
+        .collect()
 }
 
 #[test]
 fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
     const N: usize = 16;
     const NET_THREAD_BUDGET_PER_REPLICA: usize = 3;
-
-    let baseline = os_thread_count();
+    // `curb-net-runner-{id}`, cut to 15 bytes.
+    const RUNNER: &str = "curb-net-runner";
 
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
@@ -68,16 +72,17 @@ fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
         }
     }
 
-    let peak = os_thread_count();
     // Each replica costs one runner thread (not networking) plus its
-    // networking threads; everything above the baseline is ours.
-    let spawned = peak.saturating_sub(baseline);
-    assert!(spawned >= N, "at least the {N} runner threads exist");
-    let net_threads = spawned - N;
+    // networking threads; every thread `curb-net` spawns is named
+    // `curb-net-*`.
+    let ours = threads_named("curb-net-");
+    let runners = ours.iter().filter(|name| *name == RUNNER).count();
+    assert_eq!(runners, N, "one runner thread per replica: {ours:?}");
+    let net_threads = ours.len() - runners;
     assert!(
-        net_threads <= N * NET_THREAD_BUDGET_PER_REPLICA,
-        "{net_threads} networking threads for {N} replicas exceeds the \
-         budget of {NET_THREAD_BUDGET_PER_REPLICA} per replica"
+        (N..=N * NET_THREAD_BUDGET_PER_REPLICA).contains(&net_threads),
+        "{net_threads} networking threads for {N} replicas is outside \
+         [1, {NET_THREAD_BUDGET_PER_REPLICA}] per replica: {ours:?}"
     );
 
     for h in handles {
@@ -87,12 +92,11 @@ fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
 
 #[test]
 fn shard_count_is_respected_in_os_thread_count() {
-    // A sharded transport must spawn exactly `shards` event-loop
-    // threads — no hidden helpers, no thread-per-peer regression.
+    // A sharded backbone must spawn exactly `shards` event-loop
+    // threads per node — no hidden helpers, no thread-per-peer
+    // regression.
     const N: usize = 3;
     const SHARDS: usize = 3;
-
-    let baseline = os_thread_count();
 
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
@@ -101,41 +105,44 @@ fn shard_count_is_respected_in_os_thread_count() {
         .iter()
         .map(|l| l.local_addr().expect("addr"))
         .collect();
-    let cfg = ReactorConfig {
+    let cfg = MuxConfig {
         shards: SHARDS,
-        ..ReactorConfig::default()
+        ..MuxConfig::default()
     };
-    let transports: Vec<ReactorTransport<Batch<BytesPayload>>> = listeners
+    let transports: Vec<MuxTransport<BytesPayload>> = listeners
         .into_iter()
         .enumerate()
         .map(|(id, l)| {
-            ReactorTransport::bind(id, l, addrs.clone(), cfg.clone()).expect("bind transport")
+            MuxTransport::bind(id, l, addrs.clone(), cfg.clone()).expect("bind backbone")
         })
         .collect();
     assert!(transports.iter().all(|t| t.shards() == SHARDS));
 
-    // Wait for the full mesh so the count is taken at steady state.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while transports.iter().any(|t| t.connected_peers() < N - 1) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "mesh never fully connected"
-        );
-        std::thread::sleep(Duration::from_millis(10));
+    // Every node hears each peer's one broadcast, so the names are
+    // read with the full mesh (3·2 sockets, spread over the shards)
+    // connected.
+    for t in &transports {
+        t.broadcast_app(b"up");
+    }
+    for t in &transports {
+        for _ in 0..N - 1 {
+            t.recv_app(Duration::from_secs(10))
+                .expect("mesh never fully connected");
+        }
     }
 
-    let spawned = os_thread_count().saturating_sub(baseline);
+    let mut names = threads_named("curb-mux-");
+    names.sort();
+    let expected: Vec<String> = (0..N)
+        .flat_map(|id| (0..SHARDS).map(move |idx| format!("curb-mux-{id}-s{idx}")))
+        .collect();
     assert_eq!(
-        spawned,
-        N * SHARDS,
-        "each of the {N} transports must run exactly {SHARDS} shard threads"
+        names, expected,
+        "each of the {N} backbones must run exactly its {SHARDS} shard threads"
     );
 
     drop(transports);
     // Shutdown joins every shard: the threads must actually be gone.
-    let after = os_thread_count();
-    assert!(
-        after <= baseline,
-        "shard threads must exit on drop ({after} > {baseline})"
-    );
+    let left = threads_named("curb-mux-");
+    assert!(left.is_empty(), "shard threads must exit on drop: {left:?}");
 }

@@ -1,10 +1,12 @@
-//! The blockchain database: an append-only, validated chain of blocks.
+//! The blockchain database: an append-only, validated chain of blocks,
+//! and the [`ChainHead`] that does the validating.
 
 use crate::block::Block;
+use crate::merkle::merkle_root;
 use crate::transaction::{Transaction, TxId};
 use core::fmt;
 use curb_crypto::sha256::Digest;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Errors returned when appending or verifying blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +44,115 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// An append-only chain of validated blocks with a transaction index.
+/// The validating tip of a chain: the height, the tip hash and the id
+/// of every transaction accepted so far — everything needed to decide
+/// whether a block extends the chain, and nothing else.
 ///
-/// All honest Curb controllers hold an identical `Blockchain`; the
+/// This is the one validation path. [`Blockchain`] (which keeps every
+/// block, for the simulator and audits) and `curb-cluster`'s
+/// `ChainStore` (which keeps a short tail, with the WAL as the archive)
+/// both feed blocks through [`ChainHead::accept`], as does every
+/// re-verification of stored history, so the two stores cannot disagree
+/// on what a valid chain is.
+///
+/// A fresh head has accepted nothing: the first block it accepts must
+/// be a genesis block (height 0, zero `prev_hash`).
+#[derive(Debug, Clone, Default)]
+pub struct ChainHead {
+    /// Blocks accepted so far, i.e. the height the next block must carry.
+    len: u64,
+    /// Hash of the last accepted block ([`Digest::ZERO`] before genesis).
+    tip_hash: Digest,
+    tx_ids: HashSet<TxId>,
+}
+
+impl ChainHead {
+    /// A head that has accepted nothing yet.
+    pub fn new() -> Self {
+        ChainHead::default()
+    }
+
+    /// Blocks accepted so far, genesis included.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether no block (not even genesis) has been accepted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Height of the tip (genesis = 0).
+    pub fn height(&self) -> u64 {
+        self.len.saturating_sub(1)
+    }
+
+    /// Hash of the tip block.
+    pub fn tip_hash(&self) -> Digest {
+        self.tip_hash
+    }
+
+    /// Number of transactions accepted so far (genesis included).
+    pub fn tx_count(&self) -> usize {
+        self.tx_ids.len()
+    }
+
+    /// Whether a transaction with this id is anywhere on the chain.
+    pub fn contains_tx(&self, id: &TxId) -> bool {
+        self.tx_ids.contains(id)
+    }
+
+    /// Validates `block` against the tip and, on success, advances the
+    /// head over it. Each transaction is hashed once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ChainError`] (and leaves the head unchanged) if the
+    /// height or hash link is wrong, the Merkle commitment does not
+    /// match, any signature fails, or a transaction id is already on
+    /// the chain or repeated inside the block.
+    pub fn accept(&mut self, block: &Block) -> Result<(), ChainError> {
+        if block.header.height != self.len {
+            return Err(ChainError::WrongHeight {
+                expected: self.len,
+                got: block.header.height,
+            });
+        }
+        if block.header.prev_hash != self.tip_hash {
+            return Err(ChainError::BrokenLink);
+        }
+        let ids: Vec<TxId> = block.txs.iter().map(Transaction::id).collect();
+        if merkle_root(&ids) != block.header.merkle_root {
+            return Err(ChainError::MerkleMismatch);
+        }
+        for (i, (tx, id)) in block.txs.iter().zip(&ids).enumerate() {
+            let rejected = if !tx.verify_signature() {
+                Some(ChainError::BadSignature(*id))
+            } else if !self.tx_ids.insert(*id) {
+                Some(ChainError::DuplicateTx(*id))
+            } else {
+                None
+            };
+            if let Some(e) = rejected {
+                // Everything before `i` was newly inserted by this call.
+                for inserted in &ids[..i] {
+                    self.tx_ids.remove(inserted);
+                }
+                return Err(e);
+            }
+        }
+        self.len += 1;
+        self.tip_hash = block.hash();
+        Ok(())
+    }
+}
+
+/// An append-only chain of validated blocks, all of them resident.
+///
+/// All honest Curb controllers hold an identical chain; the
 /// final-consensus stage guarantees they append the same blocks in the
-/// same order.
+/// same order. The simulator and the audit queries use this type; a
+/// networked controller keeps only a [`ChainHead`] and a tail.
 ///
 /// # Examples
 ///
@@ -63,22 +169,15 @@ impl std::error::Error for ChainError {}
 #[derive(Debug, Clone)]
 pub struct Blockchain {
     blocks: Vec<Block>,
-    tx_index: HashMap<TxId, (u64, usize)>,
+    head: ChainHead,
 }
 
 impl Blockchain {
     /// Creates a chain holding only the genesis block built from
     /// `init_record`.
     pub fn with_genesis(init_record: &[u8]) -> Self {
-        let genesis = Block::genesis(init_record);
-        let mut tx_index = HashMap::new();
-        for (i, tx) in genesis.txs.iter().enumerate() {
-            tx_index.insert(tx.id(), (0, i));
-        }
-        Blockchain {
-            blocks: vec![genesis],
-            tx_index,
-        }
+        Blockchain::from_blocks(vec![Block::genesis(init_record)])
+            .expect("a freshly built genesis block is valid")
     }
 
     /// Rebuilds a chain from raw blocks (e.g. loaded from storage),
@@ -88,23 +187,14 @@ impl Blockchain {
     ///
     /// Returns the first [`ChainError`] found walking from genesis.
     pub fn from_blocks(blocks: Vec<Block>) -> Result<Blockchain, ChainError> {
-        let mut tx_index = HashMap::new();
-        for block in &blocks {
-            for (i, tx) in block.txs.iter().enumerate() {
-                if tx_index.insert(tx.id(), (block.header.height, i)).is_some() {
-                    return Err(ChainError::DuplicateTx(tx.id()));
-                }
-            }
-        }
-        let chain = Blockchain { blocks, tx_index };
-        if chain.blocks.is_empty() {
+        if blocks.is_empty() {
             return Err(ChainError::WrongHeight {
                 expected: 0,
                 got: u64::MAX,
             });
         }
-        chain.verify()?;
-        Ok(chain)
+        let head = replay(&blocks)?;
+        Ok(Blockchain { blocks, head })
     }
 
     /// The current tip (last block).
@@ -131,35 +221,10 @@ impl Blockchain {
     ///
     /// # Errors
     ///
-    /// Returns a [`ChainError`] (and leaves the chain unchanged) if the
-    /// height or hash link is wrong, the Merkle commitment does not
-    /// match, any signature fails, or a transaction is already recorded.
+    /// Returns the [`ChainError`] of [`ChainHead::accept`] and leaves
+    /// the chain unchanged.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
-        let expected = self.height() + 1;
-        if block.header.height != expected {
-            return Err(ChainError::WrongHeight {
-                expected,
-                got: block.header.height,
-            });
-        }
-        if block.header.prev_hash != self.tip().hash() {
-            return Err(ChainError::BrokenLink);
-        }
-        if !block.body_matches_header() {
-            return Err(ChainError::MerkleMismatch);
-        }
-        for tx in &block.txs {
-            if !tx.verify_signature() {
-                return Err(ChainError::BadSignature(tx.id()));
-            }
-            if self.tx_index.contains_key(&tx.id()) {
-                return Err(ChainError::DuplicateTx(tx.id()));
-            }
-        }
-        let h = block.header.height;
-        for (i, tx) in block.txs.iter().enumerate() {
-            self.tx_index.insert(tx.id(), (h, i));
-        }
+        self.head.accept(&block)?;
         self.blocks.push(block);
         Ok(())
     }
@@ -170,50 +235,27 @@ impl Blockchain {
     }
 
     /// Finds a transaction by id, returning it with its block height.
+    /// An audit query: a miss is one set lookup, a hit scans back from
+    /// the tip.
     pub fn find_tx(&self, id: &TxId) -> Option<(u64, &Transaction)> {
-        let &(h, i) = self.tx_index.get(id)?;
-        Some((h, &self.blocks[h as usize].txs[i]))
+        if !self.head.contains_tx(id) {
+            return None;
+        }
+        self.blocks.iter().rev().find_map(|b| {
+            let tx = b.txs.iter().find(|tx| tx.id() == *id)?;
+            Some((b.header.height, tx))
+        })
     }
 
-    /// Re-validates the entire chain (hash links, Merkle commitments and
-    /// signatures); detects post-hoc tampering of stored history.
+    /// Re-validates the entire chain from genesis through a fresh
+    /// [`ChainHead`]; detects post-hoc tampering of stored history.
     ///
     /// # Errors
     ///
     /// Returns the first [`ChainError`] encountered walking from
     /// genesis.
     pub fn verify(&self) -> Result<(), ChainError> {
-        let mut prev: Option<Digest> = None;
-        for (i, block) in self.blocks.iter().enumerate() {
-            if block.header.height != i as u64 {
-                return Err(ChainError::WrongHeight {
-                    expected: i as u64,
-                    got: block.header.height,
-                });
-            }
-            match prev {
-                None => {
-                    if block.header.prev_hash != Digest::ZERO {
-                        return Err(ChainError::BrokenLink);
-                    }
-                }
-                Some(p) => {
-                    if block.header.prev_hash != p {
-                        return Err(ChainError::BrokenLink);
-                    }
-                }
-            }
-            if !block.body_matches_header() {
-                return Err(ChainError::MerkleMismatch);
-            }
-            for tx in &block.txs {
-                if !tx.verify_signature() {
-                    return Err(ChainError::BadSignature(tx.id()));
-                }
-            }
-            prev = Some(block.hash());
-        }
-        Ok(())
+        replay(&self.blocks).map(|_| ())
     }
 
     /// Iterates blocks from genesis to tip.
@@ -223,7 +265,7 @@ impl Blockchain {
 
     /// Total number of transactions on the chain (including genesis).
     pub fn tx_count(&self) -> usize {
-        self.tx_index.len()
+        self.head.tx_count()
     }
 
     /// All transactions issued by `switch`, oldest first, with their
@@ -253,6 +295,15 @@ impl Blockchain {
             })
             .collect()
     }
+}
+
+/// Feeds `blocks` from genesis through a fresh head.
+fn replay(blocks: &[Block]) -> Result<ChainHead, ChainError> {
+    let mut head = ChainHead::new();
+    for block in blocks {
+        head.accept(block)?;
+    }
+    Ok(head)
 }
 
 #[cfg(test)]
@@ -325,6 +376,38 @@ mod tests {
         c.append(Block::next(c.tip(), vec![tx(1)], 1)).unwrap();
         let dup = Block::next(c.tip(), vec![tx(1)], 2);
         assert!(matches!(c.append(dup), Err(ChainError::DuplicateTx(_))));
+    }
+
+    #[test]
+    fn duplicate_inside_one_block_rejected_and_rolled_back() {
+        let mut c = chain_with(0);
+        let twice = Block::next(c.tip(), vec![tx(1), tx(2), tx(2)], 1);
+        assert_eq!(c.append(twice), Err(ChainError::DuplicateTx(tx(2).id())));
+        assert_eq!(c.tx_count(), 1, "a rejected block records nothing");
+        // tx(1) and tx(2) were rolled back, so a valid block may carry them.
+        c.append(Block::next(c.tip(), vec![tx(1), tx(2)], 1))
+            .unwrap();
+        assert_eq!(c.tx_count(), 3);
+    }
+
+    #[test]
+    fn head_starts_before_genesis_and_tracks_the_tip() {
+        let mut head = ChainHead::new();
+        assert!(head.is_empty());
+        let genesis = Block::genesis(b"init");
+        let child = Block::next(&genesis, vec![tx(1)], 1);
+        assert_eq!(
+            head.accept(&child),
+            Err(ChainError::WrongHeight {
+                expected: 0,
+                got: 1
+            })
+        );
+        head.accept(&genesis).unwrap();
+        head.accept(&child).unwrap();
+        assert_eq!((head.len(), head.height()), (2, 1));
+        assert_eq!(head.tip_hash(), child.hash());
+        assert!(head.contains_tx(&tx(1).id()));
     }
 
     #[test]

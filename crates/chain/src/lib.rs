@@ -36,7 +36,7 @@ mod transaction;
 pub mod wal;
 
 pub use block::{Block, BlockHeader};
-pub use chain::{Blockchain, ChainError};
+pub use chain::{Blockchain, ChainError, ChainHead};
 pub use codec::{put_bytes, ByteReader, CodecError};
 pub use merkle::merkle_root;
 pub use transaction::{RequestKind, Transaction, TxId};

@@ -1,6 +1,6 @@
 //! Append-only write-ahead log with CRC-framed records, fsync batched
-//! on a dedicated flusher thread, torn-tail truncation on open, and
-//! segment garbage collection below the stable checkpoint.
+//! on a dedicated flusher thread, torn-tail truncation on open and a
+//! streaming read side.
 //!
 //! The cluster node appends every committed block here *before*
 //! acknowledging it, so a crash loses at most the un-fsynced tail —
@@ -21,16 +21,19 @@
 //!
 //! The CRC (IEEE 802.3, reflected polynomial `0xEDB88320`) covers the
 //! `seq` and `len` fields plus the body, so a torn or bit-flipped tail
-//! is always detected. Opening the log replays every segment in order
+//! is always detected. Opening the log streams every segment in order
 //! and truncates the first invalid suffix it finds (a crash mid-write
 //! leaves exactly one torn tail); segments after a torn one are
 //! discarded — the longest valid *prefix* wins, matching what was ever
 //! acknowledged durable.
 //!
-//! Sequence numbers must be appended in strictly increasing order;
-//! [`Wal::gc`] deletes whole segments whose records all fall below a
-//! cutoff (the stable checkpoint), keeping disk usage O(checkpoint
-//! interval) like the in-memory committed log.
+//! The read side streams: [`Wal::open_with`] and [`replay`] hand records
+//! to a visitor one at a time, so recovery memory does not grow with
+//! the log.
+//!
+//! Sequence numbers must be appended in strictly increasing order.
+//! Segments are never deleted: for the cluster's chain store they are
+//! the archive of the full ledger.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -231,13 +234,10 @@ pub struct WalStats {
     pub bytes: u64,
     /// `fsync` calls issued — the batching win is `records / fsyncs`.
     pub fsyncs: u64,
-    /// Segment files deleted by [`Wal::gc`].
-    pub segments_deleted: u64,
 }
 
 enum FlushCmd {
     Append { seq: u64, framed: Vec<u8> },
-    Gc { below_seq: u64 },
     Sync(SyncSender<()>),
     Shutdown,
 }
@@ -247,7 +247,6 @@ struct SharedCounters {
     records: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
-    segments_deleted: AtomicU64,
 }
 
 /// The append-only segment log. See the module docs for the format and
@@ -260,22 +259,17 @@ pub struct Wal {
     error: Arc<Mutex<Option<String>>>,
 }
 
-/// One open segment on the flusher thread.
+/// The segment the flusher thread is appending to.
 struct Segment {
-    path: PathBuf,
     file: File,
     /// Bytes written to the file (magic included).
     len: u64,
-    first_seq: u64,
 }
 
 /// Flusher-thread state.
 struct Flusher {
     dir: PathBuf,
     cfg: WalConfig,
-    /// Closed, fsynced segments older than the current one, in seq
-    /// order: `(path, first_seq)`. GC works on this list.
-    sealed: Vec<(PathBuf, u64)>,
     current: Option<Segment>,
     /// Bytes appended since the last fsync.
     pending: u64,
@@ -310,8 +304,7 @@ impl Flusher {
             .is_some_and(|s| s.len >= self.cfg.segment_bytes)
         {
             self.sync_now();
-            let sealed = self.current.take().expect("checked above");
-            self.sealed.push((sealed.path, sealed.first_seq));
+            self.current = None;
         }
         if self.current.is_none() {
             let path = segment_path(&self.dir, seq);
@@ -322,10 +315,8 @@ impl Flusher {
                         return;
                     }
                     self.current = Some(Segment {
-                        path,
                         file,
                         len: WAL_MAGIC.len() as u64,
-                        first_seq: seq,
                     });
                 }
                 Err(e) => {
@@ -365,31 +356,6 @@ impl Flusher {
         self.pending = 0;
     }
 
-    fn gc(&mut self, below_seq: u64) {
-        // A sealed segment is deletable when every record in it falls
-        // below the cutoff — i.e. the *next* segment starts at or
-        // below it (appends are in seq order, so a segment ends where
-        // its successor begins).
-        while self.sealed.len() >= 2 && self.sealed[1].1 <= below_seq {
-            let (path, _) = self.sealed.remove(0);
-            if fs::remove_file(&path).is_ok() {
-                self.counters
-                    .segments_deleted
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let (1, Some(current)) = (self.sealed.len(), self.current.as_ref()) {
-            if current.first_seq <= below_seq {
-                let (path, _) = self.sealed.remove(0);
-                if fs::remove_file(&path).is_ok() {
-                    self.counters
-                        .segments_deleted
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     fn run(mut self, rx: Receiver<FlushCmd>) {
         loop {
             let timeout = self
@@ -402,7 +368,6 @@ impl Flusher {
                 self.cfg.fsync_interval
             }) {
                 Ok(FlushCmd::Append { seq, framed }) => self.append(seq, &framed),
-                Ok(FlushCmd::Gc { below_seq }) => self.gc(below_seq),
                 Ok(FlushCmd::Sync(ack)) => {
                     self.sync_now();
                     let _ = ack.send(());
@@ -421,71 +386,144 @@ impl Flusher {
     }
 }
 
+/// Bytes read from a segment file per [`WalDecoder::feed`] call.
+const SCAN_CHUNK: usize = 64 << 10;
+
+/// The segment files in `dir`, ordered by first sequence number.
+fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut segments = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(first_seq) = entry.file_name().to_str().and_then(parse_segment_name) {
+            segments.push((first_seq, entry.path()));
+        }
+    }
+    segments.sort();
+    Ok(segments.into_iter().map(|(_, path)| path).collect())
+}
+
+/// Streams one segment file through a [`WalDecoder`] in
+/// [`SCAN_CHUNK`]-sized reads, handing each valid record to `visit` —
+/// memory is one chunk plus one record, whatever the file's size or the
+/// lengths its headers claim. Returns the byte length of the valid
+/// prefix (magic included; `0` when even the magic is incomplete or
+/// wrong) and whether the file holds anything past that prefix: a torn,
+/// corrupt or hostile tail.
+fn scan_segment(
+    path: &Path,
+    visit: &mut dyn FnMut(WalRecord) -> io::Result<()>,
+) -> io::Result<(u64, bool)> {
+    let mut file = File::open(path)?;
+    let mut magic = [0u8; WAL_MAGIC.len()];
+    match file.read_exact(&mut magic) {
+        Ok(()) if &magic == WAL_MAGIC => {}
+        Ok(()) => return Ok((0, true)),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok((0, true)),
+        Err(e) => return Err(e),
+    }
+    let mut chunk = vec![0u8; SCAN_CHUNK];
+    let mut decoder = WalDecoder::new();
+    let mut valid = WAL_MAGIC.len() as u64;
+    loop {
+        let n = file.read(&mut chunk)?;
+        if n == 0 {
+            break;
+        }
+        let mut failed = None;
+        let aligned = decoder.feed(&chunk[..n], |record| {
+            if failed.is_none() {
+                valid += (RECORD_HEADER + record.bytes.len()) as u64;
+                failed = visit(record).err();
+            }
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if !aligned {
+            break;
+        }
+    }
+    Ok((valid, !decoder.is_aligned()))
+}
+
+/// Streams every valid record of the log in `dir` to `visit`, in
+/// sequence order, without opening it for append or modifying any
+/// file. Stops quietly at the first torn point, as [`Wal::open_with`]
+/// would truncate there.
+///
+/// # Errors
+///
+/// Propagates I/O errors and the first error `visit` returns.
+pub fn replay(dir: &Path, mut visit: impl FnMut(WalRecord) -> io::Result<()>) -> io::Result<()> {
+    for path in list_segments(dir)? {
+        if scan_segment(&path, &mut visit)?.1 {
+            break;
+        }
+    }
+    Ok(())
+}
+
 impl Wal {
-    /// Opens (or creates) the log in `dir`, replaying every valid
-    /// record in sequence order. A torn tail — a crash mid-write — is
-    /// truncated back to the longest valid prefix; segments after a
-    /// torn one are deleted.
+    /// [`Wal::open_with`], collecting the records instead of streaming
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::open_with`].
+    pub fn open(dir: &Path, cfg: WalConfig) -> io::Result<(Wal, Vec<WalRecord>)> {
+        let mut records = Vec::new();
+        let wal = Wal::open_with(dir, cfg, |record| {
+            records.push(record);
+            Ok(())
+        })?;
+        Ok((wal, records))
+    }
+
+    /// Opens (or creates) the log in `dir`, streaming every valid
+    /// record to `visit` in sequence order. A torn tail — a crash
+    /// mid-write — is truncated back to the longest valid prefix;
+    /// segments after a torn one are deleted.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from scanning, reading or truncating the
-    /// segment files.
-    pub fn open(dir: &Path, cfg: WalConfig) -> io::Result<(Wal, Vec<WalRecord>)> {
+    /// segment files. An error from `visit` aborts the open before the
+    /// segment it was reading is touched.
+    pub fn open_with(
+        dir: &Path,
+        cfg: WalConfig,
+        mut visit: impl FnMut(WalRecord) -> io::Result<()>,
+    ) -> io::Result<Wal> {
         fs::create_dir_all(dir)?;
-        let mut segments: Vec<(PathBuf, u64)> = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            if let Some(first_seq) = name.to_str().and_then(parse_segment_name) {
-                segments.push((entry.path(), first_seq));
+        let mut segments = list_segments(dir)?;
+        for i in 0..segments.len() {
+            let path = &segments[i];
+            let (valid, torn) = scan_segment(path, &mut visit)?;
+            if !torn {
+                continue;
             }
-        }
-        segments.sort_by_key(|(_, seq)| *seq);
-        let mut replay = Vec::new();
-        let mut torn_at: Option<usize> = None;
-        for (i, (path, _)) in segments.iter().enumerate() {
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-                // A segment without a complete magic was created but
-                // never written; treat the whole file as torn.
-                torn_at = Some(i);
+            // Anything after the torn point is beyond the longest
+            // valid prefix and must not survive. A segment without a
+            // complete magic was created but never written.
+            let keep = if valid == 0 {
                 fs::remove_file(path)?;
-                break;
-            }
-            let (records, valid) = decode_records(&bytes[WAL_MAGIC.len()..]);
-            replay.extend(records);
-            if WAL_MAGIC.len() + valid < bytes.len() {
-                // Torn or corrupt tail: truncate to the valid prefix.
-                let keep = (WAL_MAGIC.len() + valid) as u64;
-                OpenOptions::new().write(true).open(path)?.set_len(keep)?;
-                torn_at = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = torn_at {
-            // Anything after the torn segment is beyond the longest
-            // valid prefix and must not survive.
-            for (path, _) in &segments[i + 1..] {
+                i
+            } else {
+                OpenOptions::new().write(true).open(path)?.set_len(valid)?;
+                i + 1
+            };
+            for path in &segments[i + 1..] {
                 fs::remove_file(path)?;
             }
-            segments.truncate(i + 1);
-            segments.retain(|(path, _)| path.exists());
+            segments.truncate(keep);
+            break;
         }
-        // Reopen the last surviving segment for appending; earlier
-        // ones are sealed.
-        let mut sealed = segments;
-        let current = match sealed.pop() {
-            Some((path, first_seq)) => {
+        // Reopen the last surviving segment for appending.
+        let current = match segments.pop() {
+            Some(path) => {
                 let file = OpenOptions::new().append(true).open(&path)?;
                 let len = file.metadata()?.len();
-                Some(Segment {
-                    path,
-                    file,
-                    len,
-                    first_seq,
-                })
+                Some(Segment { file, len })
             }
             None => None,
         };
@@ -494,7 +532,6 @@ impl Wal {
         let flusher = Flusher {
             dir: dir.to_path_buf(),
             cfg,
-            sealed,
             current,
             pending: 0,
             last_sync: Instant::now(),
@@ -506,15 +543,12 @@ impl Wal {
             .name("curb-wal-flusher".into())
             .spawn(move || flusher.run(rx))
             .expect("spawn wal flusher thread");
-        Ok((
-            Wal {
-                tx,
-                thread: Some(thread),
-                counters,
-                error,
-            },
-            replay,
-        ))
+        Ok(Wal {
+            tx,
+            thread: Some(thread),
+            counters,
+            error,
+        })
     }
 
     /// Appends one record. Non-blocking: the bytes are framed here and
@@ -524,12 +558,6 @@ impl Wal {
         let mut framed = Vec::with_capacity(RECORD_HEADER + bytes.len());
         encode_record(&mut framed, seq, bytes);
         let _ = self.tx.send(FlushCmd::Append { seq, framed });
-    }
-
-    /// Deletes segments whose records all fall below `below_seq` (the
-    /// stable checkpoint). Non-blocking; the flusher does the I/O.
-    pub fn gc(&self, below_seq: u64) {
-        let _ = self.tx.send(FlushCmd::Gc { below_seq });
     }
 
     /// Durability barrier: blocks until everything appended so far is
@@ -555,7 +583,6 @@ impl Wal {
             records: self.counters.records.load(Ordering::Relaxed),
             bytes: self.counters.bytes.load(Ordering::Relaxed),
             fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
-            segments_deleted: self.counters.segments_deleted.load(Ordering::Relaxed),
         }
     }
 }
@@ -665,8 +692,8 @@ mod tests {
     }
 
     #[test]
-    fn segments_roll_and_gc_below_cutoff() {
-        let dir = temp_dir("gc");
+    fn segments_roll_and_replay_in_order() {
+        let dir = temp_dir("roll");
         let cfg = WalConfig {
             segment_bytes: 256, // tiny: force frequent rolls
             ..WalConfig::default()
@@ -676,18 +703,20 @@ mod tests {
             wal.append(seq, &[0xAB; 40]);
         }
         wal.sync().unwrap();
-        let before = fs::read_dir(&dir).unwrap().count();
-        assert!(before > 2, "rolling produced {before} segments");
-        wal.gc(30);
-        wal.sync().unwrap();
-        let after = fs::read_dir(&dir).unwrap().count();
-        assert!(after < before, "gc deleted sealed segments");
-        assert!(wal.stats().segments_deleted > 0);
+        let segments = fs::read_dir(&dir).unwrap().count();
+        assert!(segments > 2, "rolling produced {segments} segments");
+        // The read-only scan sees what a reopen will, and touches nothing.
+        let mut seqs = Vec::new();
+        replay(&dir, |r| {
+            seqs.push(r.seq);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seqs, (1..=40).collect::<Vec<u64>>());
         drop(wal);
-        // Records at/above the cutoff survive.
-        let (_, replay) = Wal::open(&dir, cfg).unwrap();
-        assert!(replay.iter().any(|r| r.seq == 40));
-        assert!(replay.last().unwrap().seq == 40);
+        let (_, reopened) = Wal::open(&dir, cfg).unwrap();
+        assert_eq!(reopened.iter().map(|r| r.seq).collect::<Vec<_>>(), seqs);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), segments);
         fs::remove_dir_all(&dir).ok();
     }
 

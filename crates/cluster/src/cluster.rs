@@ -280,11 +280,16 @@ impl Cluster {
             // A fresh registry per node: cloning the one in `cfg.node`
             // would share a single store across every controller.
             let registry = curb_telemetry::Registry::new();
-            let node_cfg = NodeConfig {
+            let mut node_cfg = NodeConfig {
                 behavior: cfg.behaviors.get(c).copied().unwrap_or_default(),
                 registry: registry.clone(),
                 ..cfg.node.clone()
             };
+            // One store per controller: `NodeConfig::persist` names the
+            // cluster's directory, node `c` owns `ctrl{c}` under it.
+            if let Some(persist) = &mut node_cfg.persist {
+                persist.dir.push(format!("ctrl{c}"));
+            }
             let node = ControllerNode::spawn(
                 c,
                 Arc::clone(&shared),

@@ -8,7 +8,10 @@
 //!
 //! * `health` — one flat-JSON line with the node's live counters
 //!   (chain height, epoch, blocks appended, proposals made, WAL
-//!   records/bytes/fsyncs and the prefix restored from disk at boot).
+//!   records/bytes/fsyncs and the blocks replayed from it at boot) and
+//!   the sizes of what grows with rounds served: `resident_blocks` and
+//!   `tx_ids` of the chain store, `seen_keys` and `round_ctxs` of the
+//!   node (the `chain.*` / `node.*` gauges of `metrics`).
 //! * `metrics` — one flat-JSON line: the node's metric [`Registry`]
 //!   rendered by [`Registry::to_json`] (counters, gauges, histogram
 //!   `p50`/`p99` summaries), prefixed with the node's name.
@@ -133,10 +136,11 @@ fn serve_one(stream: TcpStream, state: &IntrospectState) {
 fn respond(command: &str, state: &IntrospectState) -> String {
     match command {
         "health" => {
-            let mut out = String::new();
-            out.push_str(&format!(
+            let gauge = |name| state.registry.gauge(name).get();
+            format!(
                 "{{\"node\":\"{}\",\"height\":{},\"epoch\":{},\"blocks\":{},\"proposed\":{},\
-                 \"wal_records\":{},\"wal_bytes\":{},\"wal_fsyncs\":{},\"restored\":{}}}\n",
+                 \"wal_records\":{},\"wal_bytes\":{},\"wal_fsyncs\":{},\"restored\":{},\
+                 \"resident_blocks\":{},\"tx_ids\":{},\"seen_keys\":{},\"round_ctxs\":{}}}\n",
                 state.node,
                 state.probe.height.load(Ordering::Relaxed),
                 state.probe.epoch.load(Ordering::Relaxed),
@@ -146,8 +150,11 @@ fn respond(command: &str, state: &IntrospectState) -> String {
                 state.probe.wal_bytes.load(Ordering::Relaxed),
                 state.probe.wal_fsyncs.load(Ordering::Relaxed),
                 state.probe.restored.load(Ordering::Relaxed),
-            ));
-            out
+                gauge("chain.resident_blocks"),
+                gauge("chain.tx_ids"),
+                gauge("node.seen_keys"),
+                gauge("node.round_ctxs"),
+            )
         }
         "metrics" => {
             // Splice the node name into the registry's flat object so
@@ -191,6 +198,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("runner.commits").add(7);
         registry.gauge("net.queue_depth").add(3);
+        registry.gauge("chain.tx_ids").set(40);
         let probe = Arc::new(NodeProbe::default());
         probe.height.store(12, Ordering::Relaxed);
         probe.epoch.store(2, Ordering::Relaxed);
@@ -217,6 +225,8 @@ mod tests {
         assert_eq!(obj.get("wal_records"), Some(&JsonValue::Number(12.0)));
         assert_eq!(obj.get("wal_fsyncs"), Some(&JsonValue::Number(3.0)));
         assert_eq!(obj.get("restored"), Some(&JsonValue::Number(0.0)));
+        assert_eq!(obj.get("tx_ids"), Some(&JsonValue::Number(40.0)));
+        assert_eq!(obj.get("resident_blocks"), Some(&JsonValue::Number(0.0)));
     }
 
     #[test]

@@ -62,10 +62,10 @@ pub use driver::{
 };
 pub use introspect::{query as introspect_query, IntrospectServer, IntrospectState};
 pub use node::{
-    final_lane, intra_lane, ControllerNode, NodeBehavior, NodeConfig, NodeHandle, NodeProbe,
-    LANE_STRIDE,
+    final_lane, genesis_record, intra_lane, ControllerNode, NodeBehavior, NodeConfig, NodeHandle,
+    NodeProbe, LANE_STRIDE,
 };
 pub use payload::CtrlPayload;
-pub use persist::{ChainStore, PersistConfig, RecoveryInfo};
+pub use persist::{ChainStore, PersistConfig, RecoveryInfo, TAIL_BLOCKS};
 pub use sagent::{AgentConfig, AgentEvent, AgentHandle, AgentInjector, AgentProbe, SAgent};
 pub use wire::{ClusterMsg, SbMsg};

@@ -48,7 +48,7 @@ use curb_net::{Lane, MuxTransport, NetRunner, NodeId, RunnerConfig, RunnerHandle
 use curb_telemetry::{
     now_nanos, record_event, record_span, record_span_ctx, EventKind, Registry, TraceCtx,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,6 +72,18 @@ pub fn intra_lane(epoch: u64, group: usize) -> u64 {
 /// The final-committee lane id of epoch `epoch`.
 pub fn final_lane(epoch: u64) -> u64 {
     epoch * LANE_STRIDE + (LANE_STRIDE - 1)
+}
+
+/// The record every node's genesis block is built from: the Step-0
+/// assignment, so all nodes (and anyone opening a node's archive) derive
+/// the identical block 0.
+pub fn genesis_record(shared: &Shared, epoch: &Epoch) -> Vec<u8> {
+    ConfigData::NewAssignment {
+        groups: (0..shared.plan.n_switches)
+            .map(|i| epoch.assignment.group(i).iter().copied().collect())
+            .collect(),
+    }
+    .encode()
 }
 
 /// Fault-injection behaviour of a cluster controller node.
@@ -107,10 +119,10 @@ pub struct NodeConfig {
     /// Cloning a `NodeConfig` *shares* the registry (it is an `Arc`
     /// handle) — hand each node its own for per-node introspection.
     pub registry: Registry,
-    /// Durable chain storage. `None` (the default) keeps the chain
-    /// purely in memory; `Some` WAL-logs every appended block and
-    /// restores the committed prefix on restart (see
-    /// [`crate::persist::ChainStore`]).
+    /// Durable chain storage. `None` (the default) runs a pruned node
+    /// that forgets block bodies below a short tail; `Some` archives
+    /// every appended block in the WAL and restores the committed
+    /// prefix on restart (see [`crate::persist::ChainStore`]).
     pub persist: Option<PersistConfig>,
 }
 
@@ -146,7 +158,7 @@ pub struct NodeProbe {
     pub wal_bytes: AtomicU64,
     /// WAL fsync calls issued (0 when persistence is off).
     pub wal_fsyncs: AtomicU64,
-    /// Blocks replayed from disk (snapshot + WAL) at boot.
+    /// Blocks replayed from the WAL at boot.
     pub restored: AtomicU64,
 }
 
@@ -209,6 +221,48 @@ enum SbEvent {
     },
 }
 
+/// Trace contexts a node remembers for rounds awaiting their REPLY —
+/// far more than are ever in flight; the oldest is forgotten first.
+const ROUND_CTXS_MAX: usize = 1 << 14;
+
+/// Out-of-order sequence numbers [`SeenSeqs`] remembers per switch
+/// before it gives up on the gap below them. Far above the in-flight
+/// window of an honest agent, so only rotation hand-overs and hostile
+/// agents ever reach it.
+const SEEN_OUT_OF_ORDER: usize = 1024;
+
+/// At-most-once request intake for one switch. Agent sequence numbers
+/// are monotone, so everything at or below `low` has been seen; the
+/// few that arrive ahead of a gap (the direct and the relayed copy of
+/// a request race each other) wait in `ahead`, which is capped: a
+/// hostile agent sending wild sequence numbers only raises its own
+/// low-water mark.
+#[derive(Debug, Default)]
+struct SeenSeqs {
+    low: u64,
+    ahead: BTreeSet<u64>,
+}
+
+impl SeenSeqs {
+    /// Records `seq`; `false` if it was already seen (or is below a
+    /// gap the cap closed).
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq <= self.low || !self.ahead.insert(seq) {
+            return false;
+        }
+        if self.ahead.len() > SEEN_OUT_OF_ORDER {
+            self.low = self.ahead.pop_first().expect("non-empty above the cap");
+        }
+        while let Some(next) = self.low.checked_add(1) {
+            if !self.ahead.remove(&next) {
+                break;
+            }
+            self.low = next;
+        }
+        true
+    }
+}
+
 /// A proposed block's tracing state on the final leader: hash, propose
 /// time, and the traced rounds the block carries.
 type FinalSpan = ([u8; 32], u64, Vec<(RequestKey, TraceCtx)>);
@@ -223,13 +277,18 @@ pub struct ControllerNode {
     active: EpochRuntime,
     draining: Vec<(Instant, EpochRuntime)>,
     removed: Vec<bool>,
-    /// Request keys already proposed (as leader) — at-most-once intake.
-    seen: HashSet<RequestKey>,
+    /// Requests already proposed (as leader) or relayed (as follower),
+    /// by switch — at-most-once intake.
+    seen: Vec<SeenSeqs>,
     /// Group-leader spans: (propose time, minted context) per key.
     intra_start: HashMap<RequestKey, (u64, TraceCtx)>,
     /// Trace contexts of rounds this node serves, kept so the eventual
     /// REPLY can be stamped with the round's correlation key.
     round_ctxs: HashMap<RequestKey, TraceCtx>,
+    /// Insertion order of `round_ctxs`, holding it to
+    /// [`ROUND_CTXS_MAX`]: a request copy that arrives after its round
+    /// committed leaves a context no REPLY will ever claim.
+    round_ctx_order: VecDeque<RequestKey>,
     /// Final-leader queue of intra-committed transactions.
     pending_txs: Vec<ProtoTx>,
     pending_keys: HashSet<RequestKey>,
@@ -293,12 +352,7 @@ impl ControllerNode {
                 .expect("spawn southbound acceptor");
         }
 
-        let genesis_record = ConfigData::NewAssignment {
-            groups: (0..shared.plan.n_switches)
-                .map(|i| epoch.assignment.group(i).iter().copied().collect())
-                .collect(),
-        }
-        .encode();
+        let genesis_record = genesis_record(&shared, &epoch);
         let chain = match &cfg.persist {
             Some(persist) => ChainStore::open(persist.clone(), &genesis_record)
                 .expect("open durable chain store"),
@@ -307,10 +361,9 @@ impl ControllerNode {
         // A durable store may restore committed blocks from disk;
         // surface the restored prefix to pollers immediately.
         probe.height.store(chain.height(), Ordering::Relaxed);
-        probe.restored.store(
-            chain.recovery().snapshot_height + chain.recovery().wal_replayed,
-            Ordering::Relaxed,
-        );
+        probe
+            .restored
+            .store(chain.recovery().wal_replayed, Ordering::Relaxed);
 
         let flag = Arc::clone(&shutdown);
         let probe2 = Arc::clone(&probe);
@@ -321,6 +374,9 @@ impl ControllerNode {
                 // trace files are split on this label.
                 curb_telemetry::set_thread_node(format!("ctrl{id}"));
                 let removed = epoch.removed.clone();
+                let seen = std::iter::repeat_with(SeenSeqs::default)
+                    .take(shared.plan.n_switches)
+                    .collect();
                 let active =
                     build_runtime(id, 0, Arc::clone(&epoch), &mux, &cfg.runner, &cfg.registry);
                 let mut node = ControllerNode {
@@ -332,9 +388,10 @@ impl ControllerNode {
                     active,
                     draining: Vec::new(),
                     removed,
-                    seen: HashSet::new(),
+                    seen,
                     intra_start: HashMap::new(),
                     round_ctxs: HashMap::new(),
+                    round_ctx_order: VecDeque::new(),
                     pending_txs: Vec::new(),
                     pending_keys: HashSet::new(),
                     pending_ctxs: HashMap::new(),
@@ -424,7 +481,13 @@ impl ControllerNode {
         if ctx.is_some() {
             // Every serving member remembers the round's context: the
             // REPLY it sends after the final commit echoes it back.
-            self.round_ctxs.insert(record.key, ctx);
+            if self.round_ctxs.insert(record.key, ctx).is_none() {
+                self.round_ctx_order.push_back(record.key);
+                if self.round_ctx_order.len() > ROUND_CTXS_MAX {
+                    let oldest = self.round_ctx_order.pop_front().expect("non-empty");
+                    self.round_ctxs.remove(&oldest);
+                }
+            }
         }
         let gid = epoch.group_of(switch);
         let leader = epoch.groups[gid.0].leader();
@@ -434,13 +497,13 @@ impl ControllerNode {
             // stale controller list still overlaps the current group
             // yet misses its leader. Hand it to the controller that
             // can propose it; `seen` caps the relay at once per key.
-            if self.seen.insert(record.key) {
+            if self.seen[switch.0].insert(record.key.seq) {
                 self.mux
                     .send_app(leader, &ClusterMsg::Forward { record, ctx }.encode());
             }
             return;
         }
-        if !self.seen.insert(record.key) {
+        if !self.seen[switch.0].insert(record.key.seq) {
             return;
         }
         let Some(config) = self.compute_config(&record) else {
@@ -775,7 +838,23 @@ impl ControllerNode {
             }
         }
         self.handle_committed(&block);
+        self.publish_gauges();
         true
+    }
+
+    /// Publishes what grows with the rounds this node has served into
+    /// its registry (and so its `health` line), once per block: block
+    /// bodies and transaction ids the chain store holds, out-of-order
+    /// request seqs held for dedup, contexts of rounds awaiting a REPLY.
+    fn publish_gauges(&self) {
+        let gauge = |name, v: usize| self.cfg.registry.gauge(name).set(v as i64);
+        gauge("chain.resident_blocks", self.chain.resident_blocks());
+        gauge("chain.tx_ids", self.chain.tx_ids());
+        gauge(
+            "node.seen_keys",
+            self.seen.iter().map(|s| s.ahead.len()).sum(),
+        );
+        gauge("node.round_ctxs", self.round_ctxs.len());
     }
 
     /// Post-commit: REPLY to the issuing s-agents and apply any
@@ -804,6 +883,7 @@ impl ControllerNode {
                 self.reply_to(switch, tx.record.key, config, round_ctx.next_hop());
             }
             self.intra_start.remove(&tx.record.key);
+            self.pending_keys.remove(&tx.record.key);
             self.pending_ctxs.remove(&tx.record.key);
             if let ConfigData::NewAssignment { groups } = &tx.config {
                 let accused = match &tx.record.kind {
@@ -1162,5 +1242,48 @@ fn southbound_reader(
         if conns.get(&switch).is_some_and(|(t, _)| *t == token) {
             conns.remove(&switch);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seen_seqs_admit_each_sequence_number_once() {
+        let mut seen = SeenSeqs::default();
+        // In order, a duplicate, then the relayed copies overtaking.
+        assert!(seen.insert(1));
+        assert!(!seen.insert(1));
+        assert!(seen.insert(4));
+        assert!(seen.insert(3));
+        assert!(!seen.insert(4));
+        assert_eq!((seen.low, seen.ahead.len()), (1, 2));
+        assert!(seen.insert(2));
+        assert_eq!((seen.low, seen.ahead.len()), (4, 0), "the gap closed");
+        assert!(!seen.insert(2));
+    }
+
+    #[test]
+    fn seen_seqs_stay_bounded_under_wild_sequence_numbers() {
+        let mut seen = SeenSeqs::default();
+        // A hostile agent: huge and sparse — nothing joins up.
+        for i in 1..10 * SEEN_OUT_OF_ORDER as u64 {
+            seen.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1);
+            assert!(seen.ahead.len() <= SEEN_OUT_OF_ORDER);
+        }
+        assert!(seen.insert(u64::MAX));
+        assert!(!seen.insert(u64::MAX));
+        // Everything below the raised mark now counts as seen.
+        assert!(!seen.insert(5));
+
+        // A new leader first hears of a switch mid-stream: the run it
+        // sees is remembered exactly until the cap closes the gap below.
+        let mut seen = SeenSeqs::default();
+        for seq in 5_000..5_000 + 2 * SEEN_OUT_OF_ORDER as u64 {
+            assert!(seen.insert(seq));
+            assert!(!seen.insert(seq));
+        }
+        assert!(seen.ahead.len() <= SEEN_OUT_OF_ORDER);
     }
 }

@@ -20,14 +20,14 @@
 use crate::node::write_sb_frame;
 use crate::wire::{SbMsg, ANNOUNCE_SEQ_BIT};
 use curb_core::{
-    ConfigData, EvidenceBook, ReplyMatcher, ReqKind, RequestKey, RequestRecord, SwitchId,
+    Audit, ConfigData, EvidenceBook, ReplyMatcher, ReqKind, RequestKey, RequestRecord, SwitchId,
 };
 use curb_net::SharedDecoder;
 use curb_sdn::{FlowAction, FlowEntry, FlowMatch, FlowMod, FlowTable, HostId, PortId};
 use curb_telemetry::{
     next_trace_nonce, now_nanos, record_event_ctx, record_span_ctx, EventKind, TraceCtx,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,8 +199,6 @@ struct PendingReq {
     matcher: ReplyMatcher,
     kind: ReqKind,
     sent_ns: u64,
-    deadline: Instant,
-    reaped: bool,
     retries: u32,
     /// The round's trace context (minted at send; [`TraceCtx::NONE`]
     /// for controller-initiated announcement matchers).
@@ -216,6 +214,13 @@ pub struct SAgent {
     reply_tx: Sender<(usize, SbMsg)>,
     reply_rx: Receiver<(usize, SbMsg)>,
     pending: HashMap<RequestKey, PendingReq>,
+    /// Pending requests awaiting their timeout audit, with the time it
+    /// is due. Deadlines are insert time plus a constant, so the queue
+    /// is ordered and only its front is ever looked at.
+    audit_due: VecDeque<(Instant, RequestKey)>,
+    /// Audited requests awaiting removal one more timeout later, so
+    /// late contradictions still count. Ordered like `audit_due`.
+    reap_due: VecDeque<(Instant, RequestKey)>,
     evidence: EvidenceBook,
     table: FlowTable,
     next_seq: u64,
@@ -261,6 +266,8 @@ impl SAgent {
                     reply_tx,
                     reply_rx,
                     pending: HashMap::new(),
+                    audit_due: VecDeque::new(),
+                    reap_due: VecDeque::new(),
                     table: FlowTable::new(),
                     next_seq: 0,
                     events,
@@ -329,23 +336,28 @@ impl SAgent {
         // from successive cluster runs in one process never collide in
         // a merged trace.
         let ctx = TraceCtx::mint(self.cfg.switch.0 as u64, next_trace_nonce());
+        self.track(key, kind, retries, ctx);
+        let msg = SbMsg::Request { record, ctx };
+        for c in self.ctrl_list.clone() {
+            self.write_to(c, &msg);
+        }
+        key
+    }
+
+    /// Opens the reply matcher for `key` and schedules its audit.
+    fn track(&mut self, key: RequestKey, kind: ReqKind, retries: u32, ctx: TraceCtx) {
         self.pending.insert(
             key,
             PendingReq {
                 matcher: ReplyMatcher::new(self.cfg.accept_quorum, self.cfg.lazy_margin_ns),
                 kind,
                 sent_ns: now_nanos(),
-                deadline: Instant::now() + self.cfg.request_timeout,
-                reaped: false,
                 retries,
                 ctx,
             },
         );
-        let msg = SbMsg::Request { record, ctx };
-        for c in self.ctrl_list.clone() {
-            self.write_to(c, &msg);
-        }
-        key
+        self.audit_due
+            .push_back((Instant::now() + self.cfg.request_timeout, key));
     }
 
     fn on_reply(&mut self, controller: usize, key: RequestKey, config: ConfigData) {
@@ -358,27 +370,25 @@ impl SAgent {
             if key.seq & ANNOUNCE_SEQ_BIT == 0 || key.switch != self.cfg.switch {
                 return;
             }
-            self.pending.insert(
-                key,
-                PendingReq {
-                    matcher: ReplyMatcher::new(self.cfg.accept_quorum, self.cfg.lazy_margin_ns),
-                    kind: ReqKind::ReAss {
-                        accused: Vec::new(),
-                    },
-                    sent_ns: now_nanos(),
-                    deadline: Instant::now() + self.cfg.request_timeout,
-                    reaped: false,
-                    // Announcements are controller-initiated; there is
-                    // nothing for the agent to re-raise.
-                    retries: MAX_RETRIES,
-                    ctx: TraceCtx::NONE,
-                },
-            );
+            // Announcements are controller-initiated; there is nothing
+            // for the agent to re-raise.
+            let kind = ReqKind::ReAss {
+                accused: Vec::new(),
+            };
+            self.track(key, kind, MAX_RETRIES, TraceCtx::NONE);
         }
         let pending = self.pending.get_mut(&key).expect("pending entry exists");
         self.evidence.clear_miss(controller);
         let now = now_nanos();
         let outcome = pending.matcher.on_reply(controller, config, now);
+        // Once every controller has answered an agent-issued round, no
+        // later reply can change its outcome: audit it now and forget
+        // it, rather than hold it for two more timeouts. (Announcement
+        // matchers stay, so that stragglers' copies are not mistaken
+        // for a new announcement.)
+        let settled = (key.seq & ANNOUNCE_SEQ_BIT == 0 && pending.matcher.settled(&self.ctrl_list))
+            .then(|| pending.matcher.audit(&self.ctrl_list))
+            .flatten();
         if let Some(config) = outcome.newly_accepted {
             let latency_ns = now.saturating_sub(pending.sent_ns);
             let sent_ns = pending.sent_ns;
@@ -416,6 +426,14 @@ impl SAgent {
         if outcome.straggler && self.evidence.lazy_strike(controller) {
             self.accuse(vec![controller]);
         }
+        if let Some(audit) = settled {
+            self.pending.remove(&key);
+            let mut accused = Vec::new();
+            strike(&mut self.evidence, audit, &mut accused);
+            if !accused.is_empty() {
+                self.accuse(accused);
+            }
+        }
     }
 
     /// Installs an accepted configuration: FLOW_MOD for flow rules,
@@ -452,44 +470,31 @@ impl SAgent {
 
     /// Request timed out without `f + 1` identical replies: audit who
     /// never answered and strike them (Algorithm 1's timeout path).
+    /// Touches only the entries that are due.
     fn audit_timeouts(&mut self) {
         let now = Instant::now();
         let mut accused: Vec<usize> = Vec::new();
-        let mut reap: Vec<RequestKey> = Vec::new();
         let mut resend: Vec<(ReqKind, u32)> = Vec::new();
-        for (key, pending) in self.pending.iter_mut() {
-            if now < pending.deadline {
+        while let Some(&(due, key)) = self.audit_due.front().filter(|(due, _)| *due <= now) {
+            self.audit_due.pop_front();
+            let Some(pending) = self.pending.get_mut(&key) else {
                 continue;
+            };
+            if let Some(audit) = pending.matcher.audit(&self.ctrl_list) {
+                strike(&mut self.evidence, audit, &mut accused);
             }
-            if !pending.reaped {
-                pending.reaped = true;
-                if let Some(audit) = pending.matcher.audit(&self.ctrl_list) {
-                    for m in audit.missing {
-                        if self.evidence.miss_strike(m) {
-                            accused.push(m);
-                        }
-                    }
-                    for l in audit.lazies {
-                        if self.evidence.lazy_strike(l) {
-                            accused.push(l);
-                        }
-                    }
-                }
-                // A request that never reached acceptance is re-raised
-                // under a fresh sequence number: it may have raced an
-                // epoch rotation rather than met byzantine silence.
-                if pending.matcher.accepted().is_none() && pending.retries < MAX_RETRIES {
-                    resend.push((pending.kind.clone(), pending.retries + 1));
-                }
+            // A request that never reached acceptance is re-raised
+            // under a fresh sequence number: it may have raced an
+            // epoch rotation rather than met byzantine silence.
+            if pending.matcher.accepted().is_none() && pending.retries < MAX_RETRIES {
+                resend.push((pending.kind.clone(), pending.retries + 1));
             }
-            // Keep audited entries around one more timeout window so
-            // late contradictions still count, then reap.
-            if now >= pending.deadline + self.cfg.request_timeout {
-                reap.push(*key);
-            }
+            self.reap_due
+                .push_back((due + self.cfg.request_timeout, key));
         }
-        for key in reap {
-            self.pending.remove(&key);
+        while let Some((_, key)) = self.reap_due.front().filter(|(due, _)| *due <= now) {
+            self.pending.remove(key);
+            self.reap_due.pop_front();
         }
         if !accused.is_empty() {
             self.accuse(accused);
@@ -612,6 +617,23 @@ impl SAgent {
             let _ = conn.shutdown(Shutdown::Both);
         }
     }
+}
+
+/// Strikes everyone an audit found missing or lazy, collecting those
+/// whose tally now warrants an accusation.
+fn strike(evidence: &mut EvidenceBook, audit: Audit, accused: &mut Vec<usize>) {
+    accused.extend(
+        audit
+            .missing
+            .into_iter()
+            .filter(|m| evidence.miss_strike(*m)),
+    );
+    accused.extend(
+        audit
+            .lazies
+            .into_iter()
+            .filter(|l| evidence.lazy_strike(*l)),
+    );
 }
 
 /// Reads reply frames off one controller connection until it closes.

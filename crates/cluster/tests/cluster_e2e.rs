@@ -5,8 +5,8 @@
 
 use curb_chain::Block;
 use curb_cluster::{
-    bootstrap_pinned, AgentEvent, ChainStore, Cluster, ClusterConfig, ClusterMsg, ControllerNode,
-    CtrlPayload, NodeBehavior, NodeConfig,
+    bootstrap_pinned, genesis_record, AgentEvent, ChainStore, Cluster, ClusterConfig, ClusterMsg,
+    ControllerNode, CtrlPayload, NodeBehavior, NodeConfig,
 };
 use curb_consensus::Batch;
 use curb_core::{ConfigData, SwitchId};
@@ -337,12 +337,7 @@ fn block_announcements_that_overtake_their_parent_are_not_lost() {
 
         // The chain every node boots with, rebuilt the way
         // `ControllerNode::spawn` builds it, and two blocks on top.
-        let genesis = ConfigData::NewAssignment {
-            groups: (0..boot.shared.plan.n_switches)
-                .map(|s| boot.epoch.assignment.group(s).iter().copied().collect())
-                .collect(),
-        }
-        .encode();
+        let genesis = genesis_record(&boot.shared, &boot.epoch);
         let b1 = Block::next(ChainStore::ephemeral(&genesis).tip(), Vec::new(), 1);
         let b2 = Block::next(&b1, Vec::new(), 2);
         let announce = |member: usize, block: &Block| {

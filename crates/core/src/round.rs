@@ -103,6 +103,16 @@ impl ReplyMatcher {
         self.replies.len()
     }
 
+    /// Whether nothing more can be learned from this request: the
+    /// quorum formed and every controller in `ctrl_list` has replied,
+    /// so the audit can run now instead of at the timeout.
+    pub fn settled(&self, ctrl_list: &[usize]) -> bool {
+        self.accepted.is_some()
+            && ctrl_list
+                .iter()
+                .all(|c| self.replies.iter().any(|(rc, _, _)| rc == c))
+    }
+
     /// Processes one REPLY from `controller` (Algorithm 1, lines
     /// 3-13). Duplicate votes are ignored; the first `f + 1` identical
     /// configurations accept; disagreeing replies become contradictor
@@ -311,6 +321,21 @@ mod tests {
         assert_eq!(audit.missing, vec![3]);
         assert_eq!(audit.lazies, vec![2]);
         assert!(m.audit(&[0, 1, 2, 3]).is_none(), "audit is one-shot");
+    }
+
+    #[test]
+    fn settled_once_accepted_and_every_listed_controller_replied() {
+        let mut m = ReplyMatcher::new(2, 100);
+        m.on_reply(0, rules(3), 10);
+        assert!(!m.settled(&[0]), "no quorum yet");
+        m.on_reply(1, rules(3), 20);
+        assert!(m.settled(&[0, 1]));
+        assert!(!m.settled(&[0, 1, 2]), "controller 2 may still contradict");
+        m.on_reply(2, rules(9), 30);
+        assert!(m.settled(&[0, 1, 2]));
+        // The audit a settled request gets is the one the timeout
+        // would have run: nobody missing.
+        assert!(m.audit(&[0, 1, 2]).unwrap().missing.is_empty());
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! `workload_digest` and `trace_digest`, and CI diffs them across
 //! reruns.
 //!
+//! The exit code is the verdict: after writing the report, edgebench
+//! exits 1 if any gate failed — a missed or lost request, no load
+//! phase that kept up, a scripted partition that dropped nothing, or
+//! a lying controller that was never flagged, reassigned and rotated
+//! out (see `gate_failures`).
+//!
 //! Results land in `<out-dir>/scenario_<name>.json` (the
 //! `curb_bench::report` envelope). With `--trace-dir <dir>` the run's
 //! spans are also split by recording node into `<dir>/<node>.jsonl`
@@ -36,12 +42,12 @@
 //! ```
 
 use curb_bench::report::{self, Json};
-use curb_bench::scenario::{detect_knee, knee_json, PhasePoint, Scenario, Topology};
+use curb_bench::scenario::{detect_knee, knee_json, Knee, PhasePoint, Scenario, Topology};
 use curb_bench::spans::{phase_histograms, phases_json, write_node_traces};
 use curb_bench::{arg_value, KNEE_RATIO};
 use curb_cluster::{
     bootstrap_pinned, build_schedule, schedule_digest, spawn_fault_script, spawn_injector,
-    AgentEvent, Arrival, Cluster, ClusterConfig, NodeBehavior,
+    AgentEvent, Arrival, Cluster, ClusterConfig, FaultAction, NodeBehavior,
 };
 use curb_core::ConfigData;
 use curb_crypto::rng::DetRng;
@@ -97,7 +103,6 @@ fn run_scenario(scenario: &Scenario, deadline: Duration) -> Outcome {
     // delay bounds so any (topology, fleet) combination is feasible.
     cfg.curb.max_cs_delay_ms = 1e9;
     cfg.curb.max_cc_delay_ms = None;
-    cfg.shards = scenario.shards;
     cfg.request_timeout = Duration::from_millis(scenario.request_timeout_ms);
     if !scenario.byzantine.is_empty() {
         cfg.behaviors = vec![NodeBehavior::Honest; scenario.controllers];
@@ -349,7 +354,6 @@ fn main() {
             ("switches", Json::UInt(scenario.switches as u64)),
             ("pinned_groups", Json::UInt(scenario.pinned_groups as u64)),
             ("controller_capacity", Json::UInt(scenario.capacity as u64)),
-            ("shards", Json::UInt(scenario.shards as u64)),
             (
                 "byzantine",
                 Json::Arr(
@@ -387,4 +391,127 @@ fn main() {
     }
     let out_path = format!("{out_dir}/scenario_{}.json", scenario.name);
     report::emit("edgebench", &out_path, &report);
+
+    let failures = gate_failures(&scenario, &outcome, knee.as_ref());
+    for failure in &failures {
+        eprintln!("edgebench: {}: gate failed: {failure}", scenario.name);
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// The correctness gates of one run, as failure messages (empty when
+/// the run passed). Every scenario must deliver exactly what it
+/// offered, with load in every phase and a knee phase that kept up; a
+/// scripted partition must have dropped frames at the transport; a
+/// lying controller must be flagged, reassigned and rotated out.
+fn gate_failures(scenario: &Scenario, outcome: &Outcome, knee: Option<&Knee>) -> Vec<String> {
+    let mut failures = Vec::new();
+    let offered: u64 = outcome.offered.iter().sum();
+    let delivered: u64 = outcome.delivered.iter().sum::<u64>() + outcome.late;
+    if delivered < offered {
+        failures.push(format!("missed {} of {offered}", offered - delivered));
+    }
+    if delivered != offered {
+        failures.push(format!("delivered {delivered} != offered {offered}"));
+    }
+    if let Some(phase) = outcome.offered.iter().position(|&o| o == 0) {
+        failures.push(format!("phase {phase} offered no load"));
+    }
+    match knee {
+        None => failures.push("no knee detected: no phase kept up".into()),
+        Some(k) if k.delivered_hz < KNEE_RATIO * k.offered_hz => failures.push(format!(
+            "knee phase {} delivered {:.2} of {:.2} Hz",
+            k.phase, k.delivered_hz, k.offered_hz
+        )),
+        Some(_) => {}
+    }
+    let partitioned = scenario
+        .faults
+        .iter()
+        .any(|f| matches!(f.action, FaultAction::Partition { .. }));
+    if partitioned && outcome.faults_dropped == 0 {
+        failures.push("the partition dropped no frames at the transport".into());
+    }
+    if !scenario.byzantine.is_empty() {
+        for (what, count) in [
+            ("byzantine_flagged", outcome.byzantine_flagged),
+            ("reass_issued", outcome.reass_issued),
+            ("max_epoch", outcome.max_epoch),
+        ] {
+            if count == 0 {
+                failures.push(format!("a lying controller ran, but {what} is 0"));
+            }
+        }
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(offered: Vec<u64>, delivered: Vec<u64>) -> Outcome {
+        Outcome {
+            groups: 1,
+            elapsed_s: 1.0,
+            latency: offered.iter().map(|_| Histogram::new()).collect(),
+            offered,
+            delivered,
+            late: 0,
+            byzantine_flagged: 0,
+            reass_issued: 0,
+            epochs_adopted: 0,
+            max_height: 0,
+            max_epoch: 0,
+            faults_dropped: 0,
+            faults_delayed: 0,
+            trace_digest: curb_crypto::sha256::digest(b""),
+        }
+    }
+
+    const KEPT_UP: Knee = Knee {
+        phase: 0,
+        offered_hz: 10.0,
+        delivered_hz: 10.0,
+        saturated: false,
+    };
+
+    fn scenario(extra: &str) -> Scenario {
+        Scenario::parse(&format!(
+            "name = \"t\"\nseed = 1\ntopology = \"synthetic\"\ncontrollers = 4\n\
+             switches = 1\n{extra}\n[[phases]]\nduration_ms = 1000\nrate_hz = 10.0\n"
+        ))
+        .expect("test scenario parses")
+    }
+
+    #[test]
+    fn a_clean_run_passes_every_gate() {
+        let run = outcome(vec![10], vec![10]);
+        assert!(gate_failures(&scenario(""), &run, Some(&KEPT_UP)).is_empty());
+    }
+
+    #[test]
+    fn each_gate_trips_on_its_own() {
+        let plain = scenario("");
+        let missed = gate_failures(&plain, &outcome(vec![10], vec![9]), Some(&KEPT_UP));
+        assert!(missed[0].contains("missed 1 of 10"), "{missed:?}");
+        let idle = gate_failures(&plain, &outcome(vec![10, 0], vec![10, 0]), Some(&KEPT_UP));
+        assert_eq!(idle, vec!["phase 1 offered no load".to_string()]);
+        let no_knee = gate_failures(&plain, &outcome(vec![10], vec![10]), None);
+        assert_eq!(no_knee.len(), 1, "{no_knee:?}");
+
+        let partition = scenario("[[faults]]\nat_ms = 10\naction = \"partition\"\nside = [1]\n");
+        let quiet = gate_failures(&partition, &outcome(vec![10], vec![10]), Some(&KEPT_UP));
+        assert!(quiet[0].contains("dropped no frames"), "{quiet:?}");
+
+        let liar = scenario("byzantine = [1]");
+        let mut run = outcome(vec![10], vec![10]);
+        run.byzantine_flagged = 2;
+        run.max_epoch = 1;
+        let unreassigned = gate_failures(&liar, &run, Some(&KEPT_UP));
+        assert_eq!(unreassigned.len(), 1, "{unreassigned:?}");
+        assert!(unreassigned[0].contains("reass_issued"), "{unreassigned:?}");
+    }
 }

@@ -1,12 +1,12 @@
 //! Machine-readable reports.
 //!
 //! `edgebench` prints one JSON document per scenario and writes it to
-//! `results/scenario_<name>.json`, which the CI scenario-matrix step
-//! parses; `tracedump --json` renders through the same value tree.
-//! This module is the single JSON-writing path they share: a tiny
-//! [`Json`] value tree (the build is offline, so no serde) plus
-//! [`envelope`] and [`emit`], which prints the rendered report and
-//! persists it.
+//! `results/scenario_<name>.json`, whose determinism fields the CI
+//! scenario-matrix step diffs across a same-seed rerun; `tracedump
+//! --json` renders through the same value tree. This module is the
+//! single JSON-writing path they share: a tiny [`Json`] value tree
+//! (the build is offline, so no serde) plus [`envelope`] and
+//! [`emit`], which prints the rendered report and persists it.
 //!
 //! Every report opens with `bench`, `schema_version`, `groups` (the
 //! number of controller groups the workload ran across) and

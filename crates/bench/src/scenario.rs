@@ -13,8 +13,8 @@
 //! The parser covers exactly the TOML subset the scenario files use
 //! (the build is offline — no toml crate): top-level `key = value`
 //! scalars, string/integer/float values, integer arrays, and
-//! `[[phases]]` / `[[faults]]` tables. Anything else is a parse error,
-//! not a silent skip.
+//! `[[phases]]` / `[[faults]]` tables. Anything else — an unknown
+//! top-level key included — is a parse error, not a silent skip.
 //!
 //! # File format
 //!
@@ -26,7 +26,6 @@
 //! switches = 8
 //! pinned_groups = 2              # 0 = run the CAP solver
 //! capacity = 4
-//! shards = 1
 //! byzantine = [3]                # lying controllers (may be empty)
 //! request_timeout_ms = 2000
 //! drain_ms = 4000                # post-workload drain window
@@ -77,8 +76,6 @@ pub struct Scenario {
     pub pinned_groups: usize,
     /// Per-controller capacity for the assignment.
     pub capacity: u32,
-    /// Reactor shards per node backbone.
-    pub shards: usize,
     /// Lying controllers.
     pub byzantine: Vec<usize>,
     /// Agent request timeout (drives the audit), in milliseconds.
@@ -145,6 +142,18 @@ impl Scenario {
             }
         }
 
+        top.reject_unknown(&[
+            "name",
+            "seed",
+            "topology",
+            "controllers",
+            "switches",
+            "pinned_groups",
+            "capacity",
+            "byzantine",
+            "request_timeout_ms",
+            "drain_ms",
+        ])?;
         let topology = match top.require_str("topology")?.as_str() {
             "internet2" => Topology::Internet2,
             "synthetic" => Topology::Synthetic,
@@ -158,7 +167,6 @@ impl Scenario {
             switches: top.require_u64("switches")? as usize,
             pinned_groups: top.get_u64("pinned_groups")?.unwrap_or(0) as usize,
             capacity: top.get_u64("capacity")?.unwrap_or(1) as u32,
-            shards: top.get_u64("shards")?.unwrap_or(1) as usize,
             byzantine: top
                 .get_u64_array("byzantine")?
                 .unwrap_or_default()
@@ -292,6 +300,14 @@ enum Section {
 struct Table(Vec<(String, Value)>);
 
 impl Table {
+    /// Errors on the first key outside `known`.
+    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self.0.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((k, _)) => Err(format!("unknown key {k:?}")),
+            None => Ok(()),
+        }
+    }
+
     fn get(&self, key: &str) -> Option<&Value> {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
@@ -557,6 +573,7 @@ delay_ms = 20
             ("name \"x\"", "key = value"),
             ("name = \"x", "unterminated"),
             ("seed = [1, b]", "not an integer"),
+            ("shards = 2\nswitches = 4", "unknown key \"shards\""),
         ] {
             let err = Scenario::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?} → {err:?}");

@@ -21,7 +21,7 @@ use curb_core::{CurbConfig, Epoch, SetupError, Shared, SwitchId};
 use curb_crypto::rng::DetRng;
 use curb_crypto::KeyPair;
 use curb_graph::{DelayModel, Internet2};
-use curb_net::{MuxConfig, MuxTransport};
+use curb_net::{MuxTransport, ReactorConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -39,8 +39,8 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Agent request timeout (drives the audit).
     pub request_timeout: Duration,
-    /// Reactor shards per node backbone: how many event-loop threads
-    /// each controller partitions its peer sockets across.
+    /// Event-loop threads per node backbone: exactly 1.
+    /// [`Cluster::launch_with`] panics on any other value.
     pub shards: usize,
 }
 
@@ -235,8 +235,13 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if loopback listeners cannot be bound.
+    /// Panics if loopback listeners cannot be bound, or if
+    /// `cfg.shards` is not 1.
     pub fn launch_with(boot: Bootstrap, cfg: &ClusterConfig) -> Cluster {
+        assert_eq!(
+            cfg.shards, 1,
+            "a node backbone runs exactly one event loop; ClusterConfig::shards must be 1"
+        );
         let Bootstrap { shared, epoch } = boot;
         let n = shared.plan.n_controllers;
 
@@ -257,13 +262,12 @@ impl Cluster {
             .map(|l| l.local_addr().expect("southbound addr"))
             .collect();
 
-        let mux_cfg = MuxConfig {
+        let reactor_cfg = ReactorConfig {
             // The protocol seed doubles as the cluster instance id:
             // nodes of a differently-seeded cluster are rejected at
             // the wire handshake.
-            cluster_id: shared.config.seed,
-            shards: cfg.shards,
-            ..MuxConfig::default()
+            group_id: shared.config.seed,
+            ..ReactorConfig::default()
         };
 
         let mut nodes = Vec::with_capacity(n);
@@ -271,15 +275,21 @@ impl Cluster {
         let mut registries = Vec::with_capacity(n);
         let mut introspect = Vec::with_capacity(n);
         for (c, (listener, sb_listener)) in backbone.into_iter().zip(southbound).enumerate() {
-            let mux: MuxTransport<Batch<CtrlPayload>> =
-                MuxTransport::bind(c, listener, backbone_addrs.clone(), mux_cfg.clone())
-                    .expect("bind mux transport");
+            // A fresh registry per node: cloning the one in `cfg.node`
+            // would share a single store across every controller. The
+            // backbone publishes its `net.*` metrics into it too.
+            let registry = curb_telemetry::Registry::new();
+            let mux: MuxTransport<Batch<CtrlPayload>> = MuxTransport::bind_with_registry(
+                c,
+                listener,
+                backbone_addrs.clone(),
+                reactor_cfg.clone(),
+                registry.clone(),
+            )
+            .expect("bind mux transport");
             // Grab the fault handle before the mux moves into the
             // node; it stays valid for the transport's lifetime.
             faults.push(mux.faults());
-            // A fresh registry per node: cloning the one in `cfg.node`
-            // would share a single store across every controller.
-            let registry = curb_telemetry::Registry::new();
             let mut node_cfg = NodeConfig {
                 behavior: cfg.behaviors.get(c).copied().unwrap_or_default(),
                 registry: registry.clone(),

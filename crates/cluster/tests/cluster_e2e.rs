@@ -11,7 +11,7 @@ use curb_cluster::{
 use curb_consensus::Batch;
 use curb_core::{ConfigData, SwitchId};
 use curb_graph::synthetic;
-use curb_net::{MuxConfig, MuxTransport};
+use curb_net::{MuxTransport, ReactorConfig};
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
@@ -180,23 +180,14 @@ fn lying_controller_is_outvoted_and_recorded() {
 /// The tentpole acceptance scenario: two disjoint groups, a byzantine
 /// controller in one of them, live RE-ASS — the liar is excluded by a
 /// committed reassignment, agents re-home, and commits continue in
-/// the new epoch without halting the other group. Runs on the
-/// single-shard backbone and again with every node's peer sockets
-/// split across two reactor shards.
+/// the new epoch without halting the other group.
 #[test]
 fn multi_group_reass_excludes_liar_and_commits_continue() {
-    for shards in [1, 2] {
-        multi_group_reass_body(shards);
-    }
-}
-
-fn multi_group_reass_body(shards: usize) {
-    with_deadline(180, move || {
+    with_deadline(180, || {
         // 12 controllers / capacity 1 force two disjoint groups of 4
         // and leave spares for the reassignment to draw on.
         let topo = synthetic(12, 2, 17);
         let mut cfg = test_config(1, 3);
-        cfg.shards = shards;
         let cluster = Cluster::launch(&topo, cfg.clone()).expect("probe launch");
         assert!(
             cluster.epoch0.group_count() >= 2,
@@ -315,9 +306,9 @@ fn block_announcements_that_overtake_their_parent_are_not_lost() {
             .iter()
             .map(|l| l.local_addr().expect("addr"))
             .collect();
-        let mux_cfg = MuxConfig {
-            cluster_id: boot.shared.config.seed,
-            ..MuxConfig::default()
+        let mux_cfg = ReactorConfig {
+            group_id: boot.shared.config.seed,
+            ..ReactorConfig::default()
         };
         let mut muxes: Vec<Option<MuxTransport<Batch<CtrlPayload>>>> = listeners
             .into_iter()

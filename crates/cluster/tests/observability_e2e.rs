@@ -211,6 +211,32 @@ fn introspection_endpoints_answer_on_a_live_cluster() {
             "round must commit before probing; saw {seen:?}"
         );
 
+        // Each node's registry holds its backbone's `net.*` metrics:
+        // once the mesh is up, one outbound and one inbound socket
+        // per peer.
+        let want = 2 * (cluster.registries.len() as i64 - 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (c, registry) in cluster.registries.iter().enumerate() {
+            assert!(
+                registry
+                    .gauges()
+                    .iter()
+                    .any(|(name, _)| *name == "net.conns"),
+                "ctrl{c}'s registry lacks the backbone's net.conns gauge"
+            );
+            loop {
+                let conns = registry.gauge("net.conns").get();
+                if conns == want {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "ctrl{c}: net.conns {conns}, want {want}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+
         let addrs = cluster.introspect_addrs();
         assert_eq!(addrs.len(), 4, "one endpoint per controller");
         let mut heights = Vec::new();

@@ -1,9 +1,11 @@
 //! Link-level fault injection for the socket transports.
 //!
-//! A [`LinkFaults`] handle sits on the outbound enqueue path of a
-//! transport ([`ReactorTransport`](crate::ReactorTransport)'s and the
-//! mux backbone's shard rings) and lets a test or scenario driver
-//! script network pathologies **without touching the kernel**:
+//! A [`LinkFaults`] handle sits on the outbound enqueue path of the
+//! socket engine, in front of the event loop's per-peer rings (under
+//! [`MuxTransport`](crate::MuxTransport) and
+//! [`ReactorTransport`](crate::ReactorTransport)). A test or a
+//! scenario script uses it to inject network pathologies **without
+//! touching the kernel**:
 //!
 //! * **Cut** (`cut`/`heal`): frames to a cut peer are silently dropped
 //!   at the sender, exactly as if the path blackholed them. Cutting

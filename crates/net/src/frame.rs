@@ -375,36 +375,16 @@ pub fn encode_lane_app_into(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(bytes);
 }
 
-/// Rebuilds a [`LaneFrame`] from a frame body.
-///
-/// Any lane id decodes — the mux drops frames for lanes nobody
-/// registered (a stale epoch's traffic lands here and dies quietly),
-/// so an unknown lane is not a wire error. The message body after the
-/// lane prefix is validated exactly like [`decode_msg`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn decode_lane_frame<P: PayloadCodec>(body: &[u8]) -> Result<LaneFrame<P>, WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let lane = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
-    let rest = &body[8..];
-    if lane == APP_LANE {
-        return Ok(LaneFrame::App(FrameRef::copied(rest)));
-    }
-    Ok(LaneFrame::Msg {
-        lane,
-        msg: decode_msg(rest)?,
-    })
-}
-
 /// Rebuilds a [`LaneFrame`] from a [`FrameRef`] without copying: a
 /// consensus body is decoded in place (the decoded message owns its
 /// fields, the ref drops immediately), and an [`APP_LANE`] frame is
 /// returned as a sub-view of the same shared buffer — the app bytes
 /// keep borrowing the decoder block instead of being `to_vec`'d.
+///
+/// Any lane id decodes — the mux drops frames for lanes nobody
+/// registered (a stale epoch's traffic lands there and is counted), so
+/// an unknown lane is not a wire error. The message body after the
+/// lane prefix is validated exactly like [`decode_msg`].
 ///
 /// # Errors
 ///
@@ -1207,7 +1187,7 @@ mod tests {
                 let mut body = Vec::new();
                 encode_lane_msg_into(lane, &msg, &mut body);
                 assert_eq!(
-                    decode_lane_frame::<BytesPayload>(&body).unwrap(),
+                    decode_lane_frame_ref::<BytesPayload>(&FrameRef::copied(&body)).unwrap(),
                     LaneFrame::Msg {
                         lane,
                         msg: msg.clone()
@@ -1222,12 +1202,7 @@ mod tests {
         for bytes in [&b""[..], b"x", &[0xFFu8; 300]] {
             let mut body = Vec::new();
             encode_lane_app_into(bytes, &mut body);
-            assert_eq!(
-                decode_lane_frame::<BytesPayload>(&body).unwrap(),
-                LaneFrame::App(FrameRef::copied(bytes))
-            );
-            // The zero-copy variant yields the same view as a
-            // sub-slice of the original frame.
+            // The app bytes come back as a sub-slice of the frame.
             assert_eq!(
                 decode_lane_frame_ref::<BytesPayload>(&FrameRef::copied(&body)).unwrap(),
                 LaneFrame::App(FrameRef::copied(bytes))
@@ -1239,7 +1214,7 @@ mod tests {
     fn lane_frame_truncated_prefix_rejected() {
         for cut in 0..8 {
             assert_eq!(
-                decode_lane_frame::<BytesPayload>(&vec![0u8; cut]),
+                decode_lane_frame_ref::<BytesPayload>(&FrameRef::copied(&vec![0u8; cut])),
                 Err(WireError::Truncated),
                 "cut at {cut}"
             );
@@ -1260,7 +1235,7 @@ mod tests {
         let mut body = 3u64.to_be_bytes().to_vec();
         body.push(99); // unknown tag
         assert_eq!(
-            decode_lane_frame::<BytesPayload>(&body),
+            decode_lane_frame_ref::<BytesPayload>(&FrameRef::copied(&body)),
             Err(WireError::Corrupt("message tag"))
         );
     }

@@ -5,9 +5,10 @@
 //! `"CURBNET\x02" | peer_id:u64 | group_size:u64 | group_id:u64`, all
 //! big-endian. A magic or version mismatch, an out-of-range id, a
 //! wrong group size or a different group id closes the connection
-//! before any frame is read. [`ReactorTransport`](crate::ReactorTransport)
-//! and the node-level [`MuxTransport`](crate::MuxTransport) both speak
-//! it through the one `ShardPool` dial and accept path.
+//! before any frame is read. The node-level
+//! [`MuxTransport`](crate::MuxTransport), and
+//! [`ReactorTransport`](crate::ReactorTransport) as its one-lane case,
+//! speak it through the event loop's one dial and accept path.
 
 use curb_consensus::ReplicaId;
 

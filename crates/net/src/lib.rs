@@ -9,14 +9,14 @@
 //!   layout of `curb_chain::codec`) plus u32-length-prefixed framing
 //!   with an explicit max-frame-size and total, panic-free decoding;
 //! * [`Transport`] — the channel abstraction, with one socket engine
-//!   under it: [`ReactorTransport`] multiplexes every peer socket
-//!   nonblocking onto a small **pool of epoll shards** (peers
-//!   hash-pinned to shards, zero-copy frame decoding, vectored writes,
-//!   version/peer-id [handshake](encode_hello), capped exponential
-//!   backoff reconnect), [`MuxTransport`] shares one such pool between
-//!   all of a node's consensus lanes, and [`LoopbackTransport`] is the
-//!   in-memory, deterministic stand-in that still round-trips every
-//!   message through the codec;
+//!   under it: a single epoll event loop per node that multiplexes
+//!   every peer socket nonblocking (zero-copy frame decoding, vectored
+//!   writes, version/peer-id [handshake](encode_hello), capped
+//!   exponential backoff reconnect). [`MuxTransport`] shares that loop
+//!   between all of a node's consensus lanes, [`ReactorTransport`] is
+//!   its one-lane case for a single flat group, and
+//!   [`LoopbackTransport`] is the in-memory, deterministic stand-in
+//!   that still round-trips every message through the codec;
 //! * [`NetRunner`] — the batch-first event loop that owns a
 //!   [`Replica`](curb_consensus::Replica) over
 //!   [`Batch`](curb_consensus::Batch)ed payloads: it coalesces queued
@@ -84,13 +84,12 @@ mod transport;
 
 pub use fault::LinkFaults;
 pub use frame::{
-    decode_lane_frame, decode_lane_frame_ref, decode_msg, encode_lane_app_into,
-    encode_lane_msg_into, encode_msg, encode_msg_into, write_frame, FrameDecoder, FrameRef,
-    LaneFrame, SharedDecoder, WireError, APP_LANE, DEFAULT_DECODE_BLOCK, DEFAULT_MAX_FRAME,
-    MAX_CERT_VOTERS, MAX_STATE_ENTRIES,
+    decode_lane_frame_ref, decode_msg, encode_lane_app_into, encode_lane_msg_into, encode_msg,
+    encode_msg_into, write_frame, FrameDecoder, FrameRef, LaneFrame, SharedDecoder, WireError,
+    APP_LANE, DEFAULT_DECODE_BLOCK, DEFAULT_MAX_FRAME, MAX_CERT_VOTERS, MAX_STATE_ENTRIES,
 };
 pub use handshake::{encode_hello, validate_hello, HANDSHAKE_LEN, HANDSHAKE_MAGIC};
-pub use mux::{AppEvent, Lane, MuxConfig, MuxTransport, NodeId};
-pub use reactor::{shard_for_peer, ReactorConfig, ReactorTransport, MAX_SHARDS};
+pub use mux::{AppEvent, Lane, MuxTransport, NodeId, ReactorTransport};
+pub use reactor::ReactorConfig;
 pub use runner::{Delivery, NetRunner, RunnerConfig, RunnerHandle, RunnerStats};
 pub use transport::{LoopbackTransport, NetEvent, Transport};

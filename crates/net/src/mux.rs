@@ -12,14 +12,11 @@
 //! [`APP_LANE`](crate::frame::APP_LANE) carries opaque application
 //! bytes (the cluster's AGREE / FINAL-AGREE / epoch-control messages).
 //!
-//! Since the sharded-reactor rework the backbone is no longer a pile
-//! of blocking threads: all of a node's sockets — across **every**
-//! lane and peer — are serviced by one shared [`ShardPool`]
-//! ([`MuxConfig::shards`] event-loop threads, peers hash-pinned to
-//! shards). Inbound lane frames arrive as zero-copy
-//! [`FrameRef`] views over the shard's read buffer; [`AppEvent`]
-//! hands those views to the application untouched, and consensus
-//! messages decode straight out of them.
+//! All of a node's sockets — across **every** lane and peer — are
+//! serviced by one event-loop thread ([`Reactor`]). Inbound lane
+//! frames arrive as zero-copy [`FrameRef`] views over the loop's read
+//! buffer; [`AppEvent`] hands those views to the application
+//! untouched, and consensus messages decode straight out of them.
 //!
 //! Consensus code never sees the mux: [`MuxTransport::lane`] returns a
 //! [`Lane`] that implements [`Transport`] with *lane-local* replica
@@ -28,21 +25,27 @@
 //! chosen by the caller; the cluster runtime makes them epoch-scoped,
 //! so traffic from a stale epoch arrives on a lane nobody registered
 //! and is dropped — epoch fencing falls out of the addressing scheme.
+//! The demux counts every frame it drops, by reason:
+//! `net.demux_unknown_lane`, `net.demux_not_member` and
+//! `net.demux_malformed`.
+//!
+//! [`ReactorTransport`] is the one-lane case: a mux plus a lane over
+//! all `n` members, for a single flat consensus group.
 //!
 //! The handshake is the shared 32-byte hello ([`crate::encode_hello`])
 //! with the node id in the peer-id field, the node count in the
-//! group-size field and [`MuxConfig::cluster_id`] in the group-id
+//! group-size field and [`ReactorConfig::group_id`] in the group-id
 //! field: a peer from a different cluster (or speaking wire v1) is
 //! rejected before any frame is exchanged.
 
+use crate::fault::LinkFaults;
 use crate::frame::{
     decode_lane_frame_ref, encode_lane_app_into, encode_lane_msg_into, FrameRef, LaneFrame,
-    DEFAULT_MAX_FRAME,
 };
-use crate::reactor::{ReactorConfig, ShardPool, ShardSink};
+use crate::reactor::{FrameSink, Reactor, ReactorConfig};
 use crate::transport::{NetEvent, Transport};
 use curb_consensus::{PayloadCodec, PbftMsg, ReplicaId};
-use curb_telemetry::Registry;
+use curb_telemetry::{Counter, Registry};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -54,72 +57,11 @@ use std::time::Duration;
 /// [`ReplicaId`], which is an index *within one lane's member list*.
 pub type NodeId = usize;
 
-/// Tuning knobs for [`MuxTransport`].
-#[derive(Debug, Clone)]
-pub struct MuxConfig {
-    /// Maximum frame body size accepted or sent.
-    pub max_frame: usize,
-    /// First reconnect delay after a failed dial or dropped connection.
-    pub backoff_base: Duration,
-    /// Cap on the exponential reconnect delay.
-    pub backoff_max: Duration,
-    /// Timeout for a single dial attempt.
-    pub dial_timeout: Duration,
-    /// Shard timer-wheel granularity (historically the blocking-thread
-    /// poll interval; the name is kept for configuration compat).
-    pub poll_interval: Duration,
-    /// Per-peer outbound queue depth. The byte watermark handed to the
-    /// shard pool is derived from this (`queue_capacity * 2 KiB`);
-    /// overflowing it drops the ring and reconnects.
-    pub queue_capacity: usize,
-    /// Writer coalescing limit in bytes per vectored write burst.
-    pub coalesce_bytes: usize,
-    /// Cluster instance id stamped into the handshake group-id field;
-    /// nodes of a different cluster are rejected at the handshake.
-    pub cluster_id: u64,
-    /// Number of reactor shards the node's sockets are partitioned
-    /// across (clamped to `1..=`[`crate::reactor::MAX_SHARDS`]).
-    pub shards: usize,
-}
-
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig {
-            max_frame: DEFAULT_MAX_FRAME,
-            backoff_base: Duration::from_millis(25),
-            backoff_max: Duration::from_secs(2),
-            dial_timeout: Duration::from_millis(500),
-            poll_interval: Duration::from_millis(4),
-            queue_capacity: 4096,
-            coalesce_bytes: 256 << 10,
-            cluster_id: 0,
-            shards: 1,
-        }
-    }
-}
-
-impl MuxConfig {
-    /// The reactor configuration the node backbone runs on.
-    fn reactor(&self) -> ReactorConfig {
-        ReactorConfig {
-            max_frame: self.max_frame,
-            backoff_base: self.backoff_base,
-            backoff_max: self.backoff_max,
-            dial_timeout: self.dial_timeout,
-            high_watermark: self.queue_capacity.saturating_mul(2 << 10).max(64 << 10),
-            coalesce_bytes: self.coalesce_bytes,
-            tick: self.poll_interval,
-            group_id: self.cluster_id,
-            shards: self.shards,
-        }
-    }
-}
-
 /// Opaque application bytes received from another node's [`APP_LANE`].
 ///
-/// `bytes` is a zero-copy [`FrameRef`] view into the receiving shard's
-/// read buffer (it derefs to `&[u8]`); holding it defers only that
-/// buffer block's reuse.
+/// `bytes` is a zero-copy [`FrameRef`] view into the event loop's read
+/// buffer (it derefs to `&[u8]`); holding it defers only that buffer
+/// block's reuse.
 ///
 /// [`APP_LANE`]: crate::frame::APP_LANE
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,26 +80,60 @@ struct LaneState<P> {
 }
 
 /// The inbound half of the mux: routes decoded lane frames to their
-/// instances. This is what the shard threads hold — deliberately free
-/// of the [`ShardPool`] itself, so the pool's thread handles are never
-/// kept alive by the threads they join.
+/// instances. This is what the loop thread holds — deliberately free
+/// of the [`Reactor`] itself, so the reactor's thread handle is never
+/// kept alive by the thread it joins.
 struct MuxRouter<P> {
     node: NodeId,
     lanes: Mutex<HashMap<u64, LaneState<P>>>,
     app_tx: Sender<AppEvent>,
+    /// Frames for a lane nobody registered (a stale or not yet opened
+    /// epoch).
+    unknown_lane: Counter,
+    /// Frames from a node outside the lane's membership.
+    not_member: Counter,
+    /// Frame bodies that failed to decode.
+    malformed: Counter,
 }
 
 impl<P> MuxRouter<P> {
+    /// A router for node `node` with no lanes yet, and the receiving
+    /// end of its application queue.
+    fn new(node: NodeId, registry: &Registry) -> (MuxRouter<P>, Receiver<AppEvent>) {
+        let (app_tx, app_rx) = channel();
+        let router = MuxRouter {
+            node,
+            lanes: Mutex::new(HashMap::new()),
+            app_tx,
+            unknown_lane: registry.counter("net.demux_unknown_lane"),
+            not_member: registry.counter("net.demux_not_member"),
+            malformed: registry.counter("net.demux_malformed"),
+        };
+        (router, app_rx)
+    }
+
+    /// Registers (or replaces) lane `lane` and returns its event queue.
+    fn register(&self, lane: u64, members: Vec<NodeId>) -> Receiver<NetEvent<P>> {
+        let (events, rx) = channel();
+        self.lanes
+            .lock()
+            .expect("lane table poisoned")
+            .insert(lane, LaneState { members, events });
+        rx
+    }
+
     /// Routes an inbound consensus message to its lane, translating
     /// the sender's node id into the lane-local replica index. Frames
     /// for unregistered lanes (stale epochs) and from nodes outside
-    /// the lane's membership are dropped.
+    /// the lane's membership are dropped and counted.
     fn route_msg(&self, from: NodeId, lane: u64, msg: PbftMsg<P>) {
         let lanes = self.lanes.lock().expect("lane table poisoned");
         let Some(state) = lanes.get(&lane) else {
+            self.unknown_lane.inc();
             return;
         };
         let Some(replica) = state.members.iter().position(|&n| n == from) else {
+            self.not_member.inc();
             return;
         };
         let _ = state.events.send(NetEvent::Inbound { from: replica, msg });
@@ -180,12 +156,12 @@ impl<P> MuxRouter<P> {
     }
 }
 
-impl<P: PayloadCodec + Send + 'static> ShardSink for MuxRouter<P> {
+impl<P: PayloadCodec + Send + 'static> FrameSink for MuxRouter<P> {
     fn on_frame(&self, from: usize, frame: FrameRef) {
         match decode_lane_frame_ref::<P>(&frame) {
             // A malformed frame is dropped but the connection survives:
             // framing is still intact, so later frames decode fine.
-            Err(_) => {}
+            Err(_) => self.malformed.inc(),
             Ok(LaneFrame::Msg { lane, msg }) => self.route_msg(from, lane, msg),
             Ok(LaneFrame::App(bytes)) => {
                 let _ = self.app_tx.send(AppEvent { from, bytes });
@@ -198,35 +174,43 @@ impl<P: PayloadCodec + Send + 'static> ShardSink for MuxRouter<P> {
     }
 }
 
-/// The outbound half shared by the transport and its lanes: the shard
-/// pool plus enough config to frame and cap outgoing bodies.
+/// The outbound half shared by the transport and its lanes: the
+/// reactor plus enough config to frame and cap outgoing bodies.
 struct MuxCore<P> {
     router: Arc<MuxRouter<P>>,
-    pool: ShardPool,
+    reactor: Reactor,
     max_frame: usize,
     n_nodes: usize,
 }
 
 impl<P> MuxCore<P> {
-    /// Queues one already-encoded lane-frame body for `node`. Frames
-    /// to unreachable or hopelessly slow peers are dropped — both the
-    /// consensus layer and the cluster protocol tolerate loss.
-    fn enqueue(&self, node: NodeId, body: &[u8]) {
+    /// Copies one encoded lane-frame body into an `Arc` every peer
+    /// ring can share. A body over `max_frame` is dropped and counted
+    /// in [`MuxTransport::dropped_frames`] — both the consensus layer
+    /// and the cluster protocol tolerate loss.
+    fn share(&self, body: &[u8]) -> Option<Arc<[u8]>> {
         if body.len() > self.max_frame {
-            return;
+            self.reactor.count_dropped();
+            return None;
         }
-        self.pool.enqueue(node, Arc::from(body));
+        Some(Arc::from(body))
+    }
+
+    /// Frames application bytes for the [`APP_LANE`](crate::frame::APP_LANE).
+    fn app_frame(&self, bytes: &[u8]) -> Option<Arc<[u8]>> {
+        let mut body = Vec::with_capacity(bytes.len() + 8);
+        encode_lane_app_into(bytes, &mut body);
+        self.share(&body)
     }
 }
 
 /// One consensus instance's view of the shared node backbone.
 ///
 /// Implements [`Transport`] with lane-local replica ids, so a
-/// [`NetRunner`](crate::NetRunner) drives it exactly like a dedicated
-/// [`ReactorTransport`](crate::ReactorTransport). [`shutdown`] unregisters the
-/// lane: later inbound frames for it are dropped, which is how a
-/// finished epoch's instances leave the wire without tearing down the
-/// node's sockets.
+/// [`NetRunner`](crate::NetRunner) drives it like any transport.
+/// [`shutdown`] unregisters the lane: later inbound frames for it are
+/// dropped, which is how a finished epoch's instances leave the wire
+/// without tearing down the node's sockets.
 ///
 /// [`shutdown`]: Transport::shutdown
 pub struct Lane<P> {
@@ -236,6 +220,33 @@ pub struct Lane<P> {
     core: Arc<MuxCore<P>>,
     events: Mutex<Receiver<NetEvent<P>>>,
     encode_buf: Mutex<Vec<u8>>,
+}
+
+impl<P: PayloadCodec> Lane<P> {
+    fn new(
+        id: u64,
+        local_index: ReplicaId,
+        members: Vec<NodeId>,
+        core: Arc<MuxCore<P>>,
+        events: Receiver<NetEvent<P>>,
+    ) -> Lane<P> {
+        Lane {
+            id,
+            local_index,
+            members,
+            core,
+            events: Mutex::new(events),
+            encode_buf: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Encodes `msg` once into a lane-frame body all peer rings share.
+    fn encode(&self, msg: &PbftMsg<P>) -> Option<Arc<[u8]>> {
+        let mut body = self.encode_buf.lock().expect("encode buffer poisoned");
+        body.clear();
+        encode_lane_msg_into(self.id, msg, &mut body);
+        self.core.share(&body)
+    }
 }
 
 impl<P: PayloadCodec + Send + 'static> Transport<P> for Lane<P> {
@@ -254,21 +265,18 @@ impl<P: PayloadCodec + Send + 'static> Transport<P> for Lane<P> {
         if node == self.core.router.node {
             return;
         }
-        let mut body = self.encode_buf.lock().expect("encode buffer poisoned");
-        body.clear();
-        encode_lane_msg_into(self.id, msg, &mut body);
-        self.core.enqueue(node, &body);
+        if let Some(frame) = self.encode(msg) {
+            self.core.reactor.enqueue(node, frame);
+        }
     }
 
     fn broadcast(&self, msg: &PbftMsg<P>) {
-        // Encode once; every peer ring shares the same bytes via the
-        // per-frame `Arc` inside `enqueue`.
-        let mut body = self.encode_buf.lock().expect("encode buffer poisoned");
-        body.clear();
-        encode_lane_msg_into(self.id, msg, &mut body);
+        let Some(frame) = self.encode(msg) else {
+            return;
+        };
         for (replica, &node) in self.members.iter().enumerate() {
             if replica != self.local_index {
-                self.core.enqueue(node, &body);
+                self.core.reactor.enqueue(node, Arc::clone(&frame));
             }
         }
     }
@@ -301,7 +309,7 @@ impl<P: PayloadCodec + Send + 'static> Transport<P> for Lane<P> {
 
 /// The shared node backbone: one listener, one connection pair per
 /// peer node, any number of registered [`Lane`]s on top — all driven
-/// by one [`ShardPool`] of event-loop threads.
+/// by one event-loop thread.
 pub struct MuxTransport<P> {
     core: Arc<MuxCore<P>>,
     app_rx: Mutex<Receiver<AppEvent>>,
@@ -324,14 +332,14 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
         node: NodeId,
         listener: TcpListener,
         addrs: Vec<SocketAddr>,
-        cfg: MuxConfig,
+        cfg: ReactorConfig,
     ) -> io::Result<MuxTransport<P>> {
         Self::bind_with_registry(node, listener, addrs, cfg, Registry::new())
     }
 
     /// Like [`MuxTransport::bind`], but publishes the backbone's
-    /// `net.*` metrics (shard gauges, decode-copy counter, latency
-    /// histograms) into the caller's `registry`.
+    /// `net.*` metrics (connection gauge, demux drop and decode-copy
+    /// counters, latency histograms) into the caller's `registry`.
     ///
     /// # Errors
     ///
@@ -344,35 +352,38 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
         node: NodeId,
         listener: TcpListener,
         addrs: Vec<SocketAddr>,
-        cfg: MuxConfig,
+        cfg: ReactorConfig,
         registry: Registry,
     ) -> io::Result<MuxTransport<P>> {
-        assert!(node < addrs.len(), "node id {node} out of range");
-        let (app_tx, app_rx) = channel();
+        let (router, app_rx) = MuxRouter::new(node, &registry);
+        Self::start(router, app_rx, listener, addrs, cfg, registry)
+    }
+
+    /// Starts the event loop behind `router`. Lanes registered on the
+    /// router beforehand see every frame and peer transition.
+    fn start(
+        router: MuxRouter<P>,
+        app_rx: Receiver<AppEvent>,
+        listener: TcpListener,
+        addrs: Vec<SocketAddr>,
+        cfg: ReactorConfig,
+        registry: Registry,
+    ) -> io::Result<MuxTransport<P>> {
+        let node = router.node;
+        let app_loopback = router.app_tx.clone();
+        let router = Arc::new(router);
         let n_nodes = addrs.len();
-        let router = Arc::new(MuxRouter::<P> {
-            node,
-            lanes: Mutex::new(HashMap::new()),
-            app_tx: app_tx.clone(),
-        });
-        let pool = ShardPool::bind(
-            node,
-            listener,
-            addrs,
-            cfg.reactor(),
-            &registry,
-            Arc::clone(&router),
-            "curb-mux",
-        )?;
+        let max_frame = cfg.max_frame;
+        let reactor = Reactor::bind(node, listener, addrs, cfg, &registry, Arc::clone(&router))?;
         Ok(MuxTransport {
             core: Arc::new(MuxCore {
                 router,
-                pool,
-                max_frame: cfg.max_frame,
+                reactor,
+                max_frame,
                 n_nodes,
             }),
             app_rx: Mutex::new(app_rx),
-            app_loopback: app_tx,
+            app_loopback,
             registry,
         })
     }
@@ -389,12 +400,7 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
 
     /// The address the backbone listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.core.pool.local_addr()
-    }
-
-    /// The number of reactor shards serving this backbone.
-    pub fn shards(&self) -> usize {
-        self.core.pool.shards()
+        self.core.reactor.local_addr()
     }
 
     /// The registry the backbone publishes its `net.*` metrics into.
@@ -402,11 +408,17 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
         &self.registry
     }
 
+    /// Frames dropped since startup: oversize at send time plus
+    /// watermark overflow.
+    pub fn dropped_frames(&self) -> usize {
+        self.core.reactor.dropped_frames()
+    }
+
     /// The link-fault injection handle for this node's backbone: cut
     /// or slow this node's outbound links to individual peer nodes
     /// while the cluster runs (partitions, churn, slow WAN links).
-    pub fn faults(&self) -> Arc<crate::fault::LinkFaults> {
-        self.core.pool.faults()
+    pub fn faults(&self) -> Arc<LinkFaults> {
+        self.core.reactor.faults()
     }
 
     /// Registers consensus instance `lane_id` with the given member
@@ -421,29 +433,16 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
     pub fn lane(&self, lane_id: u64, members: Vec<NodeId>) -> Lane<P> {
         let local_index = members
             .iter()
-            .position(|&n| n == self.core.router.node)
+            .position(|&n| n == self.node())
             .expect("local node must be a lane member");
-        let (tx, rx) = channel();
-        self.core
-            .router
-            .lanes
-            .lock()
-            .expect("lane table poisoned")
-            .insert(
-                lane_id,
-                LaneState {
-                    members: members.clone(),
-                    events: tx,
-                },
-            );
-        Lane {
-            id: lane_id,
+        let events = self.core.router.register(lane_id, members.clone());
+        Lane::new(
+            lane_id,
             local_index,
             members,
-            core: Arc::clone(&self.core),
-            events: Mutex::new(rx),
-            encode_buf: Mutex::new(Vec::new()),
-        }
+            Arc::clone(&self.core),
+            events,
+        )
     }
 
     /// Sends opaque application bytes to `to`'s [`APP_LANE`]. Sending
@@ -459,18 +458,20 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
             });
             return;
         }
-        let mut body = Vec::with_capacity(bytes.len() + 8);
-        encode_lane_app_into(bytes, &mut body);
-        self.core.enqueue(to, &body);
+        if let Some(frame) = self.core.app_frame(bytes) {
+            self.core.reactor.enqueue(to, frame);
+        }
     }
 
-    /// Sends application bytes to every node except the local one.
+    /// Sends application bytes to every node except the local one,
+    /// framed once and shared by every peer ring.
     pub fn broadcast_app(&self, bytes: &[u8]) {
-        let mut body = Vec::with_capacity(bytes.len() + 8);
-        encode_lane_app_into(bytes, &mut body);
+        let Some(frame) = self.core.app_frame(bytes) else {
+            return;
+        };
         for node in 0..self.core.n_nodes {
             if node != self.core.router.node {
-                self.core.enqueue(node, &body);
+                self.core.reactor.enqueue(node, Arc::clone(&frame));
             }
         }
     }
@@ -484,18 +485,150 @@ impl<P: PayloadCodec + Send + 'static> MuxTransport<P> {
             .ok()
     }
 
-    /// Stops the backbone's event loops. Idempotent; lanes registered
+    /// Stops the backbone's event loop. Idempotent; lanes registered
     /// on this mux stop receiving events.
     pub fn shutdown(&self) {
-        self.core.pool.shutdown();
+        self.core.reactor.shutdown();
     }
 }
 
 impl<P> Drop for MuxTransport<P> {
     fn drop(&mut self) {
-        // Flag the shards down now; the pool's own Drop joins them
-        // when the last lane releases the core.
-        self.core.pool.shutdown();
+        // Flag the loop down now; the reactor's own Drop joins it when
+        // the last lane releases the core.
+        self.core.reactor.shutdown();
+    }
+}
+
+/// The lane a [`ReactorTransport`] runs its one group on.
+const GROUP_LANE: u64 = 0;
+
+/// A [`Transport`] for one flat consensus group over real TCP
+/// sockets: the one-lane case of [`MuxTransport`], with a lane over
+/// all `n` members, driven by one event-loop thread.
+///
+/// Bind each replica with [`ReactorTransport::bind`], giving every
+/// replica the same ordered list of peer addresses (index = replica
+/// id). [`Transport::shutdown`] stops the loop and frees the port.
+pub struct ReactorTransport<P> {
+    // Field order is drop order: the mux flags the loop down, then the
+    // lane releases the last handle on the reactor, which joins it.
+    mux: MuxTransport<P>,
+    lane: Lane<P>,
+}
+
+impl<P: PayloadCodec + Send + 'static> ReactorTransport<P> {
+    /// Starts the transport for replica `id` on `listener`.
+    ///
+    /// `peer_addrs[i]` must be where replica `i` listens;
+    /// `peer_addrs[id]` is this replica's own address. The loop begins
+    /// dialing peers immediately; peers that are not up yet are
+    /// retried with capped exponential backoff off the timer wheel.
+    ///
+    /// # Errors
+    ///
+    /// Returns any error from configuring the listener, the epoll
+    /// instance or the wake pipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= peer_addrs.len()`.
+    pub fn bind(
+        id: ReplicaId,
+        listener: TcpListener,
+        peer_addrs: Vec<SocketAddr>,
+        cfg: ReactorConfig,
+    ) -> io::Result<ReactorTransport<P>> {
+        Self::bind_with_registry(id, listener, peer_addrs, cfg, Registry::new())
+    }
+
+    /// Like [`ReactorTransport::bind`], but publishes the transport's
+    /// metrics into the caller's `registry` — share one registry with
+    /// [`NetRunner::spawn_with_registry`] to see runner and transport
+    /// metrics side by side.
+    ///
+    /// [`NetRunner::spawn_with_registry`]: crate::NetRunner::spawn_with_registry
+    ///
+    /// # Errors
+    ///
+    /// Returns any error from configuring the listener, the epoll
+    /// instance or the wake pipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= peer_addrs.len()`.
+    pub fn bind_with_registry(
+        id: ReplicaId,
+        listener: TcpListener,
+        peer_addrs: Vec<SocketAddr>,
+        cfg: ReactorConfig,
+        registry: Registry,
+    ) -> io::Result<ReactorTransport<P>> {
+        let members: Vec<NodeId> = (0..peer_addrs.len()).collect();
+        let (router, app_rx) = MuxRouter::new(id, &registry);
+        // Registered before the loop starts, so no early frame or
+        // peer-up from a fast peer can miss the lane.
+        let events = router.register(GROUP_LANE, members.clone());
+        let mux = MuxTransport::start(router, app_rx, listener, peer_addrs, cfg, registry)?;
+        let lane = Lane::new(GROUP_LANE, id, members, Arc::clone(&mux.core), events);
+        Ok(ReactorTransport { mux, lane })
+    }
+
+    /// The registry this transport publishes its metrics into.
+    pub fn registry(&self) -> &Registry {
+        self.mux.registry()
+    }
+
+    /// The address this transport's listener is bound to.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.mux.local_addr()
+    }
+
+    /// Peers with an established outbound connection right now.
+    pub fn connected_peers(&self) -> usize {
+        self.mux.core.reactor.connected_peers()
+    }
+
+    /// Frames dropped since startup: oversize at send time plus
+    /// watermark overflow.
+    pub fn dropped_frames(&self) -> usize {
+        self.mux.dropped_frames()
+    }
+
+    /// The link-fault injection handle for this transport: cut or slow
+    /// individual outbound links while the cluster runs.
+    pub fn faults(&self) -> Arc<LinkFaults> {
+        self.mux.faults()
+    }
+}
+
+impl<P: PayloadCodec + Send + 'static> Transport<P> for ReactorTransport<P> {
+    fn local_id(&self) -> ReplicaId {
+        self.lane.local_id()
+    }
+
+    fn group_size(&self) -> usize {
+        self.lane.group_size()
+    }
+
+    fn send(&self, to: ReplicaId, msg: &PbftMsg<P>) {
+        self.lane.send(to, msg);
+    }
+
+    fn broadcast(&self, msg: &PbftMsg<P>) {
+        self.lane.broadcast(msg);
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<NetEvent<P>> {
+        self.lane.recv_timeout(timeout)
+    }
+
+    fn try_recv(&self) -> Option<NetEvent<P>> {
+        self.lane.try_recv()
+    }
+
+    fn shutdown(&self) {
+        self.mux.shutdown();
     }
 }
 
@@ -508,16 +641,16 @@ mod tests {
     use std::io::Write;
     use std::net::TcpStream;
 
-    fn fast_cfg() -> MuxConfig {
-        MuxConfig {
+    fn fast_cfg() -> ReactorConfig {
+        ReactorConfig {
             backoff_base: Duration::from_millis(5),
             backoff_max: Duration::from_millis(100),
-            poll_interval: Duration::from_millis(1),
-            ..MuxConfig::default()
+            tick: Duration::from_millis(1),
+            ..ReactorConfig::default()
         }
     }
 
-    fn bind_nodes(n: usize, cfg: &MuxConfig) -> Vec<MuxTransport<BytesPayload>> {
+    fn bind_nodes(n: usize, cfg: &ReactorConfig) -> Vec<MuxTransport<BytesPayload>> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
             .collect();
@@ -587,6 +720,10 @@ mod tests {
             b2.recv_timeout(Duration::from_millis(50)),
             Some(NetEvent::Inbound { .. })
         ));
+        // Zero-copy all the way: routing shares the loop's buffer.
+        for node in &nodes {
+            assert_eq!(node.registry().counter("net.decode_copy_bytes").get(), 0);
+        }
     }
 
     #[test]
@@ -596,6 +733,9 @@ mod tests {
         let l1 = nodes[1].lane(1, vec![0, 1]);
         // A stale-epoch lane nobody registered at node 1.
         let stale = nodes[0].lane(999, vec![0, 1]);
+        // Lane 5 at node 1 does not count node 0 as a member.
+        let outsider = nodes[0].lane(5, vec![0, 1]);
+        let _members_only = nodes[1].lane(5, vec![1]);
         let d = p(b"x").digest();
         let msg = PbftMsg::Prepare {
             view: 0,
@@ -603,14 +743,44 @@ mod tests {
             digest: d,
         };
         stale.send(1, &msg);
+        outsider.send(1, &msg);
         l0.send(1, &msg);
-        // The registered lane's message arrives; the stale one never
-        // surfaces anywhere.
+        // The registered lane's message arrives; the others never
+        // surface anywhere. One connection carries all three in
+        // order, so both drops are counted by the time it lands.
         assert_eq!(wait_inbound(&l1, 0), msg);
         assert!(!matches!(
             l1.recv_timeout(Duration::from_millis(50)),
             Some(NetEvent::Inbound { .. })
         ));
+        let registry = nodes[1].registry();
+        assert_eq!(registry.counter("net.demux_unknown_lane").get(), 1);
+        assert_eq!(registry.counter("net.demux_not_member").get(), 1);
+        assert_eq!(registry.counter("net.demux_malformed").get(), 0);
+    }
+
+    #[test]
+    fn oversize_lane_frames_are_dropped_and_counted() {
+        let cfg = ReactorConfig {
+            max_frame: 64,
+            ..fast_cfg()
+        };
+        let nodes = bind_nodes(3, &cfg);
+        let lane = nodes[0].lane(2, vec![0, 1, 2]);
+        let big = p(&[7; 100]);
+        let msg = PbftMsg::PrePrepare {
+            view: 0,
+            seq: 1,
+            digest: big.digest(),
+            payload: big,
+        };
+        // One frame per call, however many peers it would reach.
+        lane.send(1, &msg);
+        assert_eq!(nodes[0].dropped_frames(), 1);
+        lane.broadcast(&msg);
+        assert_eq!(nodes[0].dropped_frames(), 2);
+        nodes[0].broadcast_app(&[0; 100]);
+        assert_eq!(nodes[0].dropped_frames(), 3);
     }
 
     #[test]
@@ -658,52 +828,6 @@ mod tests {
             .recv_app(Duration::from_secs(5))
             .expect("broadcast");
         assert_eq!((b.from, &b.bytes[..]), (1, &b"final block"[..]));
-    }
-
-    #[test]
-    fn sharded_backbone_routes_lanes_and_app_frames() {
-        // 4 nodes, 2 shards: peers are split across event loops, and
-        // inbound connections from odd peers are handed off shard 0 →
-        // shard 1. Lane traffic and app frames must still route.
-        let cfg = MuxConfig {
-            shards: 2,
-            ..fast_cfg()
-        };
-        let nodes = bind_nodes(4, &cfg);
-        assert_eq!(nodes[0].shards(), 2);
-        let lanes: Vec<Lane<BytesPayload>> =
-            nodes.iter().map(|n| n.lane(11, vec![0, 1, 2, 3])).collect();
-        let msg = PbftMsg::Prepare {
-            view: 3,
-            seq: 1,
-            digest: p(b"sharded").digest(),
-        };
-        lanes[3].broadcast(&msg);
-        for lane in &lanes[..3] {
-            assert_eq!(wait_inbound(lane, 3), msg);
-        }
-        nodes[2].broadcast_app(b"epoch 9");
-        for r in [0usize, 1, 3] {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            loop {
-                match nodes[r].recv_app(Duration::from_millis(100)) {
-                    Some(ev) if ev.from == 2 => {
-                        assert_eq!(&ev.bytes[..], b"epoch 9");
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => assert!(
-                        std::time::Instant::now() < deadline,
-                        "node {r} never got the app broadcast"
-                    ),
-                }
-            }
-        }
-        // Zero-copy all the way: routing shares the shard's buffer.
-        assert_eq!(
-            nodes[0].registry().counter("net.decode_copy_bytes").get(),
-            0
-        );
     }
 
     #[test]

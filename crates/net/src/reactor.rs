@@ -1,22 +1,22 @@
-//! Sharded poll-based reactor transport: thousands of peers, a small
-//! pool of event-loop threads.
+//! The socket engine: one epoll event loop per backbone, thousands of
+//! peers.
 //!
 //! Two OS threads per peer (a blocking reader and a writer) would cap
 //! a replica at a few hundred connections and make per-message cost
-//! dominated by wakeups and context switches. [`ReactorTransport`]
-//! instead runs the wire protocol — length-prefixed frames, the
-//! 32-byte handshake ([`crate::encode_hello`]), one unidirectional
-//! connection per ordered replica pair (the dialer writes, the
-//! acceptor reads, so simultaneous connects need no tie-break) — on a
-//! [`ShardPool`]: `shards` event-loop threads that own every socket
-//! in nonblocking mode behind a raw epoll shim ([`crate::sys`]).
+//! dominated by wakeups and context switches. The [`Reactor`] instead
+//! runs the wire protocol — length-prefixed frames, the 32-byte
+//! handshake ([`crate::encode_hello`]), one unidirectional connection
+//! per ordered node pair (the dialer writes, the acceptor reads, so
+//! simultaneous connects need no tie-break) — on **one** event-loop
+//! thread that owns every socket in nonblocking mode behind a raw
+//! epoll shim ([`crate::sys`]).
 //!
-//! * **Work partitioning, no work stealing.** Every peer socket is
-//!   hash-pinned to exactly one shard ([`shard_for_peer`]); a shard
-//!   dials, accepts (via handoff from shard 0, which owns the
-//!   listener) and services only its own peers. The read path takes no
-//!   cross-shard locks — each shard has its own epoll instance, wake
-//!   pipe, timer wheel, dirty list and connection slab.
+//! * **One loop, not a pool.** A Curb controller is an edge server
+//!   with a small CPU budget, and the protocol's scalability comes
+//!   from grouping, not threads. No measurement has shown a second
+//!   loop paying for itself, so the listener, every dial and every
+//!   inbound peer share one epoll instance, wake pipe, timer wheel,
+//!   dirty list and connection slab.
 //! * **Zero-copy reads** go through the
 //!   [`SharedDecoder`](crate::frame::SharedDecoder): socket bytes land
 //!   directly in an `Arc`-shared block and complete frames are handed
@@ -36,28 +36,24 @@
 //!   (`net.backpressure_drops`), and the peer's connection is torn
 //!   down and re-dialed.
 //! * **Reconnects** follow a capped exponential backoff, as timer
-//!   events on a coarse per-shard timing wheel that also bounds the
+//!   events on a coarse timing wheel that also bounds the
 //!   `epoll_wait` timeout.
 //!
-//! The pool is transport-agnostic: [`ReactorTransport`] decodes frames
-//! into PBFT messages, while the node-level mux
-//! ([`crate::MuxTransport`]) routes lane frames — both plug a
-//! [`ShardSink`] into the same shard set, so one `Node` hosting many
-//! consensus groups shares one pool instead of one loop per transport.
+//! The reactor knows frames, not messages: the node-level mux
+//! ([`crate::MuxTransport`], and [`crate::ReactorTransport`] as its
+//! one-lane case) plugs a [`FrameSink`] in that routes lane frames, so
+//! one node hosting many consensus groups runs one loop.
 //!
 //! Observability: `net.poll_wait_ns` (time blocked in `epoll_wait`),
-//! `net.events_per_wake`, `net.ready_queue_depth`,
-//! `net.backpressure_drops`, `net.shard_count`, `net.shard<i>.conns`
-//! (sockets owned per shard), `net.decode_copy_bytes`,
-//! `net.encode_ns`, `net.read_ns`, `net.write_ns`, `net.queue_depth`
-//! and `net.reconnects`.
+//! `net.events_per_wake`, `net.backpressure_drops`, `net.conns`
+//! (sockets the loop owns), `net.decode_copy_bytes`, `net.write_ns`,
+//! `net.read_ns`, `net.queue_depth` and `net.reconnects`.
 
 use crate::fault::LinkFaults;
-use crate::frame::{decode_msg, encode_msg_into, FrameRef, SharedDecoder, DEFAULT_MAX_FRAME};
+use crate::frame::{FrameRef, SharedDecoder, DEFAULT_MAX_FRAME};
 use crate::handshake::{encode_hello, validate_hello, HANDSHAKE_LEN};
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::transport::{NetEvent, Transport};
-use curb_consensus::{PayloadCodec, PbftMsg, ReplicaId};
+use curb_consensus::ReplicaId;
 use curb_telemetry::{Counter, Gauge, HistogramHandle, Registry};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -65,46 +61,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Hard cap on the shard count (also sizes the static metric-name
-/// table for per-shard gauges).
-pub const MAX_SHARDS: usize = 16;
-
-/// Static names for the per-shard connection gauges — the telemetry
-/// registry interns `&'static str` names only.
-const SHARD_CONNS: [&str; MAX_SHARDS] = [
-    "net.shard0.conns",
-    "net.shard1.conns",
-    "net.shard2.conns",
-    "net.shard3.conns",
-    "net.shard4.conns",
-    "net.shard5.conns",
-    "net.shard6.conns",
-    "net.shard7.conns",
-    "net.shard8.conns",
-    "net.shard9.conns",
-    "net.shard10.conns",
-    "net.shard11.conns",
-    "net.shard12.conns",
-    "net.shard13.conns",
-    "net.shard14.conns",
-    "net.shard15.conns",
-];
-
-/// The shard a peer's sockets are pinned to: a plain modulus, so the
-/// mapping is stable for the lifetime of the pool and uniform across
-/// shards for dense peer ids. Both the outbound dial and the inbound
-/// accept handoff use this exact function — one peer, one shard, no
-/// work stealing.
-pub fn shard_for_peer(peer: usize, shards: usize) -> usize {
-    peer % shards.max(1)
-}
-
-/// Tuning knobs for [`ReactorTransport`].
+/// Tuning knobs for the socket engine under [`crate::MuxTransport`]
+/// and [`crate::ReactorTransport`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Maximum frame body size accepted or sent.
@@ -126,13 +88,10 @@ pub struct ReactorConfig {
     /// Timing-wheel slot granularity; timer deadlines are exact, the
     /// granularity only bounds how early the wheel re-checks them.
     pub tick: Duration,
-    /// Consensus-instance id stamped into the handshake; peers carrying
-    /// a different id are rejected. Defaults to 0 for single-group use.
+    /// Instance id stamped into the handshake; peers carrying a
+    /// different id are rejected. The cluster runtime sets its
+    /// protocol seed here; 0 suits a single group.
     pub group_id: u64,
-    /// Number of event-loop shards peers are partitioned across.
-    /// Clamped to `1..=MAX_SHARDS`. One shard reproduces the previous
-    /// single-loop behaviour exactly.
-    pub shards: usize,
 }
 
 impl Default for ReactorConfig {
@@ -146,7 +105,6 @@ impl Default for ReactorConfig {
             coalesce_bytes: 256 << 10,
             tick: Duration::from_millis(4),
             group_id: 0,
-            shards: 1,
         }
     }
 }
@@ -156,7 +114,7 @@ impl Default for ReactorConfig {
 /// longer deadlines park in the furthest slot and re-insert on expiry.
 const WHEEL_SLOTS: usize = 512;
 
-/// What a timer firing means to the shard.
+/// What a timer firing means to the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
     /// Attempt a fresh dial to `peer` (scheduled with backoff).
@@ -263,22 +221,19 @@ impl TimerWheel {
     }
 }
 
-/// Pool metric handles (`net.*` names). Latency histograms sample
+/// Reactor metric handles (`net.*` names). Latency histograms sample
 /// only while telemetry is enabled; gauges and counters are relaxed
 /// atomics and always on.
 #[derive(Clone)]
 struct ReactorMetrics {
-    encode_ns: HistogramHandle,
     write_ns: HistogramHandle,
     read_ns: HistogramHandle,
-    /// Time a shard spent blocked in `epoll_wait`.
+    /// Time the loop spent blocked in `epoll_wait`.
     poll_wait_ns: HistogramHandle,
     /// Readiness events delivered per `epoll_wait` return.
     events_per_wake: HistogramHandle,
     /// Frames currently queued across all outbound rings.
     queue_depth: Gauge,
-    /// Decoded events queued to the consumer and not yet drained.
-    ready_depth: Gauge,
     /// Frames dropped because a ring crossed its high watermark.
     backpressure_drops: Counter,
     /// Outbound connections re-established after a drop.
@@ -291,13 +246,11 @@ struct ReactorMetrics {
 impl ReactorMetrics {
     fn new(registry: &Registry) -> Self {
         ReactorMetrics {
-            encode_ns: registry.histogram("net.encode_ns"),
             write_ns: registry.histogram("net.write_ns"),
             read_ns: registry.histogram("net.read_ns"),
             poll_wait_ns: registry.histogram("net.poll_wait_ns"),
             events_per_wake: registry.histogram("net.events_per_wake"),
             queue_depth: registry.gauge("net.queue_depth"),
-            ready_depth: registry.gauge("net.ready_queue_depth"),
             backpressure_drops: registry.counter("net.backpressure_drops"),
             reconnects: registry.counter("net.reconnects"),
             decode_copy_bytes: registry.counter("net.decode_copy_bytes"),
@@ -305,13 +258,12 @@ impl ReactorMetrics {
     }
 }
 
-/// Where a shard delivers its work: one implementation decodes PBFT
-/// messages ([`ReactorTransport`]), another routes lane frames
-/// ([`crate::MuxTransport`]). Called from shard threads — implementors
-/// must be cheap and non-blocking on the hot path.
-pub(crate) trait ShardSink: Send + Sync + 'static {
+/// Where the loop delivers inbound work: the mux's lane router.
+/// Called from the loop thread — implementors must be cheap and
+/// non-blocking on the hot path.
+pub(crate) trait FrameSink: Send + Sync + 'static {
     /// A complete frame body arrived from `from`. The [`FrameRef`]
-    /// borrows the shard's read block; holding it defers (only) that
+    /// borrows the loop's read block; holding it defers (only) that
     /// block's reuse.
     fn on_frame(&self, from: usize, frame: FrameRef);
     /// An inbound connection from `from` completed its handshake
@@ -319,14 +271,14 @@ pub(crate) trait ShardSink: Send + Sync + 'static {
     fn on_peer(&self, from: usize, up: bool);
 }
 
-/// One peer's outbound ring: encoded frames waiting for a shard to
+/// One peer's outbound ring: encoded frames waiting for the loop to
 /// put them on the wire. Lock order: a ring lock is always the
 /// innermost lock and never held across a syscall other than the
 /// nonblocking wake write.
 struct Ring {
     frames: VecDeque<Arc<[u8]>>,
     bytes: usize,
-    /// Set by the sender when the watermark was crossed; the shard
+    /// Set by the sender when the watermark was crossed; the loop
     /// answers by tearing the connection down for a fresh start.
     overflowed: bool,
 }
@@ -341,28 +293,17 @@ impl Ring {
     }
 }
 
-/// A validated inbound connection being transferred from shard 0 (the
-/// listener owner) to the shard that owns its peer.
-struct Handoff {
-    stream: TcpStream,
-    from: ReplicaId,
-}
-
-/// State shared between the sender-facing pool handle and the shard
-/// threads. Rings are global (indexed by peer); everything that a
-/// shard polls is per-shard, so the hot paths never contend across
-/// shards.
+/// State shared between the sender-facing [`Reactor`] handle and the
+/// loop thread.
 struct Shared {
+    /// Outbound rings, indexed by peer.
     rings: Vec<Mutex<Ring>>,
-    /// Per shard: peers whose ring changed since the shard last looked.
-    dirty: Vec<Mutex<Vec<usize>>>,
-    /// Per shard: whether a wake byte is already in flight.
-    wake_pending: Vec<AtomicBool>,
-    /// Per shard: write ends of the wake pipes (any thread may nudge
-    /// any shard — handoffs cross shards).
-    wake_tx: Vec<UnixStream>,
-    /// Per shard: inbound connections waiting to be adopted.
-    handoff: Vec<Mutex<Vec<Handoff>>>,
+    /// Peers whose ring changed since the loop last looked.
+    dirty: Mutex<Vec<usize>>,
+    /// Whether a wake byte is already in flight.
+    wake_pending: AtomicBool,
+    /// Write end of the wake pipe.
+    wake_tx: UnixStream,
     shutdown: AtomicBool,
     connected: Vec<AtomicBool>,
     /// Frames dropped: oversize at encode time or watermark overflow.
@@ -370,30 +311,24 @@ struct Shared {
 }
 
 impl Shared {
-    /// Wakes `shard`, deduplicating the wake byte.
-    fn wake(&self, shard: usize) {
-        if !self.wake_pending[shard].swap(true, Ordering::SeqCst) {
-            // A full pipe still wakes the shard; the byte loss is
+    /// Wakes the loop, deduplicating the wake byte.
+    fn wake(&self) {
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            // A full pipe still wakes the loop; the byte loss is
             // harmless because one is already buffered.
-            let _ = (&self.wake_tx[shard]).write(&[1]);
-        }
-    }
-
-    fn wake_all(&self) {
-        for shard in 0..self.wake_tx.len() {
-            self.wake(shard);
+            let _ = (&self.wake_tx).write(&[1]);
         }
     }
 }
 
-/// Reserved epoll token: the listening socket (shard 0 only).
+/// Reserved epoll token: the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved epoll token: the wake pipe's read end.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 /// Reads per connection per wakeup before yielding to other sockets.
 const MAX_READS_PER_CONN: usize = 16;
 
-/// One registered connection inside a shard.
+/// One registered connection inside the loop.
 enum Conn {
     /// Outbound connect in flight (`EINPROGRESS`); completion or
     /// failure arrives as `EPOLLOUT`/`EPOLLERR`.
@@ -419,8 +354,8 @@ enum Conn {
         armed: bool,
     },
     /// Inbound connection still reading its 32-byte handshake. Reads
-    /// go directly into `hello` — never past it — so a connection
-    /// handed to another shard carries no surplus bytes.
+    /// go directly into `hello` — never past it — so every frame byte
+    /// after the handshake lands in the decoder.
     InHandshake {
         stream: TcpStream,
         hello: [u8; HANDSHAKE_LEN],
@@ -428,7 +363,7 @@ enum Conn {
     },
     /// Inbound connection past the handshake, decoding frames in
     /// place. `copied_reported` is the slice of the decoder's rescue
-    /// copies already published to the pool counter.
+    /// copies already published to the counter.
     InPeer {
         stream: TcpStream,
         from: ReplicaId,
@@ -448,18 +383,14 @@ impl Conn {
     }
 }
 
-/// One event-loop thread of the pool: owns an epoll instance, the
-/// sockets of the peers pinned to it, a timing wheel and a connection
-/// slab. Shard 0 additionally owns the listener and hands validated
-/// inbound connections to their owning shards.
-struct Shard<S> {
-    idx: usize,
+/// The event-loop thread's state: an epoll instance, the listener,
+/// every peer socket, a timing wheel and a connection slab.
+struct EventLoop<S> {
     id: ReplicaId,
     n: usize,
-    nshards: usize,
     cfg: ReactorConfig,
     epoll: Epoll,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
     sink: Arc<S>,
@@ -479,11 +410,11 @@ struct Shard<S> {
     ever_connected: Vec<bool>,
     wheel: TimerWheel,
     metrics: ReactorMetrics,
-    /// Sockets currently owned by this shard (`net.shard<i>.conns`).
+    /// Sockets the loop currently owns (`net.conns`).
     conns_gauge: Gauge,
 }
 
-impl<S: ShardSink> Shard<S> {
+impl<S: FrameSink> EventLoop<S> {
     fn alloc(&mut self, conn: Conn) -> usize {
         self.conns_gauge.add(1);
         if let Some(token) = self.free.pop() {
@@ -507,14 +438,9 @@ impl<S: ShardSink> Shard<S> {
         }
     }
 
-    /// Whether this shard owns `peer`'s sockets.
-    fn owns(&self, peer: usize) -> bool {
-        shard_for_peer(peer, self.nshards) == self.idx
-    }
-
     fn run(mut self) {
         for peer in 0..self.n {
-            if peer != self.id && self.owns(peer) {
+            if peer != self.id {
                 self.start_dial(peer);
             }
         }
@@ -562,7 +488,7 @@ impl<S: ShardSink> Shard<S> {
             }
         }
         // Dropping the slab, listener and epoll closes every fd, so
-        // the listening port is free the moment the last shard exits.
+        // the listening port is free the moment the loop exits.
     }
 
     // ---------------------------------------------------------------
@@ -844,15 +770,12 @@ impl<S: ShardSink> Shard<S> {
     }
 
     // ---------------------------------------------------------------
-    // Inbound side: accept → handshake → handoff → zero-copy decode.
+    // Inbound side: accept → handshake → zero-copy decode.
     // ---------------------------------------------------------------
 
     fn accept_ready(&mut self) {
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
@@ -877,34 +800,6 @@ impl<S: ShardSink> Shard<S> {
         }
     }
 
-    /// Adopts inbound connections handed over by shard 0: registers
-    /// each already-validated peer socket with this shard's epoll.
-    fn adopt_handoffs(&mut self) {
-        let pending = {
-            let mut handoff = self.shared.handoff[self.idx]
-                .lock()
-                .expect("handoff poisoned");
-            std::mem::take(&mut *handoff)
-        };
-        for Handoff { stream, from } in pending {
-            let fd = stream.as_raw_fd();
-            let token = self.alloc(Conn::InPeer {
-                stream,
-                from,
-                decoder: SharedDecoder::new(self.cfg.max_frame),
-                copied_reported: 0,
-            });
-            if self
-                .epoll
-                .add(fd, EPOLLIN | EPOLLRDHUP, token as u64)
-                .is_err()
-            {
-                self.release(token);
-                self.sink.on_peer(from, false);
-            }
-        }
-    }
-
     /// Services readiness on an inbound connection: reads until
     /// `WouldBlock` (bounded for fairness). Handshake reads fill the
     /// fixed hello buffer exactly; frame reads land in the shared
@@ -913,7 +808,7 @@ impl<S: ShardSink> Shard<S> {
     fn in_ready(&mut self, token: usize) {
         // The connection is taken out of the slab while being
         // serviced so the sink and metrics can be borrowed freely; it
-        // is put back unless it closed or was handed to another shard.
+        // is put back unless it closed.
         let Some(mut conn) = self.conns[token].take() else {
             return;
         };
@@ -923,8 +818,8 @@ impl<S: ShardSink> Shard<S> {
             match &mut conn {
                 Conn::InHandshake { stream, hello, got } => {
                     // Read exactly up to the end of the handshake —
-                    // never past it — so the stream can be handed to
-                    // another shard with no surplus bytes in limbo.
+                    // never past it — so the first frame byte lands
+                    // in the decoder, not here.
                     match stream.read(&mut hello[*got..]) {
                         Ok(0) => {
                             close = true;
@@ -944,23 +839,6 @@ impl<S: ShardSink> Shard<S> {
                                 break;
                             };
                             self.sink.on_peer(from, true);
-                            let target = shard_for_peer(from, self.nshards);
-                            if target != self.idx {
-                                // Hand the validated socket to the
-                                // shard that owns this peer.
-                                let Conn::InHandshake { stream, .. } = conn else {
-                                    unreachable!("matched InHandshake above");
-                                };
-                                let _ = self.epoll.delete(stream.as_raw_fd());
-                                self.free.push(token);
-                                self.conns_gauge.sub(1);
-                                self.shared.handoff[target]
-                                    .lock()
-                                    .expect("handoff poisoned")
-                                    .push(Handoff { stream, from });
-                                self.shared.wake(target);
-                                return;
-                            }
                             conn = match conn {
                                 Conn::InHandshake { stream, .. } => Conn::InPeer {
                                     stream,
@@ -1107,8 +985,7 @@ impl<S: ShardSink> Shard<S> {
         }
     }
 
-    /// Drains the wake pipe, adopts handed-off connections and
-    /// services every dirty ring: overflow tears the peer's connection
+    /// Drains the wake pipe and services every dirty ring: overflow tears the peer's connection
     /// down, fresh frames are flushed directly (the hot path writes
     /// from the wake, not from a second `EPOLLOUT` round trip).
     fn wake_ready(&mut self) {
@@ -1121,10 +998,9 @@ impl<S: ShardSink> Shard<S> {
                 Err(_) => break,
             }
         }
-        self.shared.wake_pending[self.idx].store(false, Ordering::SeqCst);
-        self.adopt_handoffs();
+        self.shared.wake_pending.store(false, Ordering::SeqCst);
         let dirty = {
-            let mut dirty = self.shared.dirty[self.idx].lock().expect("dirty poisoned");
+            let mut dirty = self.shared.dirty.lock().expect("dirty poisoned");
             std::mem::take(&mut *dirty)
         };
         for peer in dirty {
@@ -1161,33 +1037,29 @@ impl<S: ShardSink> Shard<S> {
     }
 }
 
-/// A work-partitioned pool of reactor shards sharing one listener, one
-/// peer-ring set and one metric family. This is the engine under both
-/// [`ReactorTransport`] (PBFT frames) and [`crate::MuxTransport`]
-/// (lane frames): callers enqueue encoded `Arc<[u8]>` frames per peer
-/// and receive inbound frames through their [`ShardSink`].
-pub(crate) struct ShardPool {
-    nshards: usize,
+/// The socket engine: one event-loop thread plus the handle senders
+/// use. Callers enqueue encoded `Arc<[u8]>` frames per peer and
+/// receive inbound frames through their [`FrameSink`].
+pub(crate) struct Reactor {
     shared: Arc<Shared>,
     metrics: ReactorMetrics,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
     /// The ring-enqueue half, shared with the fault delay line so
-    /// released frames re-enter the pool without re-entering the
+    /// released frames re-enter the rings without re-entering the
     /// fault gate.
     sender: RingSender,
     /// Link-fault gate on the enqueue path (cuts, delays).
     faults: Arc<LinkFaults>,
 }
 
-/// The watermarked ring-push half of the pool: everything `enqueue`
+/// The watermarked ring-push half of the reactor: everything `enqueue`
 /// needs, cloneable so the fault delay line can release frames
 /// straight into the rings from its own thread.
 #[derive(Clone)]
 struct RingSender {
     id: ReplicaId,
     n: usize,
-    nshards: usize,
     high_watermark: usize,
     shared: Arc<Shared>,
     metrics: ReactorMetrics,
@@ -1195,7 +1067,7 @@ struct RingSender {
 
 impl RingSender {
     /// Queues `frame` on `to`'s ring, applying the watermark, and
-    /// wakes the owning shard when it needs to look.
+    /// wakes the loop when it needs to look.
     fn send(&self, to: ReplicaId, frame: Arc<[u8]>) {
         if to == self.id || to >= self.n {
             return;
@@ -1205,7 +1077,7 @@ impl RingSender {
             let mut ring = self.shared.rings[to].lock().expect("ring poisoned");
             if ring.bytes + wire_len > self.high_watermark {
                 // Watermark crossed: empty the ring, count every
-                // casualty and ask the shard for a fresh connection.
+                // casualty and ask the loop for a fresh connection.
                 let casualties = (ring.frames.len() + 1) as u64;
                 self.metrics.queue_depth.sub(ring.frames.len() as i64);
                 ring.frames.clear();
@@ -1229,114 +1101,85 @@ impl RingSender {
             }
         };
         if notify {
-            let shard = shard_for_peer(to, self.nshards);
-            self.shared.dirty[shard]
-                .lock()
-                .expect("dirty poisoned")
-                .push(to);
-            self.shared.wake(shard);
+            self.shared.dirty.lock().expect("dirty poisoned").push(to);
+            self.shared.wake();
         }
     }
 }
 
-impl ShardPool {
-    /// Starts `cfg.shards` event-loop threads for node `id`. Shard 0
-    /// takes ownership of `listener`; every peer in `peer_addrs` is
-    /// pinned to `shard_for_peer(peer, shards)`. Inbound frames and
-    /// peer up/down transitions are delivered to `sink` from shard
-    /// threads.
-    pub(crate) fn bind<S: ShardSink>(
+impl Reactor {
+    /// Starts the event-loop thread for node `id`, which owns
+    /// `listener` and dials every other address in `peer_addrs`.
+    /// Inbound frames and peer up/down transitions are delivered to
+    /// `sink` from the loop thread.
+    pub(crate) fn bind<S: FrameSink>(
         id: ReplicaId,
         listener: TcpListener,
         peer_addrs: Vec<SocketAddr>,
         cfg: ReactorConfig,
         registry: &Registry,
         sink: Arc<S>,
-        thread_prefix: &str,
-    ) -> io::Result<ShardPool> {
+    ) -> io::Result<Reactor> {
         assert!(id < peer_addrs.len(), "node id out of range");
         let n = peer_addrs.len();
-        let nshards = cfg.shards.clamp(1, MAX_SHARDS);
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let metrics = ReactorMetrics::new(registry);
-        registry.gauge("net.shard_count").set(nshards as i64);
 
-        let mut wake_tx = Vec::with_capacity(nshards);
-        let mut wake_rx = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            wake_tx.push(tx);
-            wake_rx.push(rx);
-        }
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             rings: (0..n).map(|_| Mutex::new(Ring::new())).collect(),
-            dirty: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
-            wake_pending: (0..nshards).map(|_| AtomicBool::new(false)).collect(),
+            dirty: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
             wake_tx,
-            handoff: (0..nshards).map(|_| Mutex::new(Vec::new())).collect(),
             shutdown: AtomicBool::new(false),
             connected: (0..n).map(|_| AtomicBool::new(false)).collect(),
             dropped: AtomicUsize::new(0),
         });
 
-        let hello = encode_hello(id, n, cfg.group_id);
-        let mut listener = Some(listener);
-        let mut threads = Vec::with_capacity(nshards);
-        for (idx, rx) in wake_rx.into_iter().enumerate() {
-            let epoll = Epoll::new()?;
-            let shard_listener = if idx == 0 { listener.take() } else { None };
-            if let Some(l) = &shard_listener {
-                epoll.add(l.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-            }
-            epoll.add(rx.as_raw_fd(), EPOLLIN, TOKEN_WAKE)?;
-            let now = Instant::now();
-            let shard = Shard {
-                idx,
-                id,
-                n,
-                nshards,
-                cfg: cfg.clone(),
-                epoll,
-                listener: shard_listener,
-                wake_rx: rx,
-                shared: Arc::clone(&shared),
-                sink: Arc::clone(&sink),
-                addrs: peer_addrs.clone(),
-                hello,
-                conns: Vec::new(),
-                free: Vec::new(),
-                out_token: vec![None; n],
-                backoff: vec![cfg.backoff_base; n],
-                generation: vec![0; n],
-                ever_connected: vec![false; n],
-                wheel: TimerWheel::new(cfg.tick, now),
-                metrics: metrics.clone(),
-                conns_gauge: registry.gauge(SHARD_CONNS[idx]),
-            };
-            let thread = thread::Builder::new()
-                .name(format!("{thread_prefix}-{id}-s{idx}"))
-                .spawn(move || shard.run())
-                .expect("spawn shard thread");
-            threads.push(thread);
-        }
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        epoll.add(wake_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKE)?;
+        let event_loop = EventLoop {
+            id,
+            n,
+            cfg: cfg.clone(),
+            epoll,
+            listener,
+            wake_rx,
+            shared: Arc::clone(&shared),
+            sink,
+            addrs: peer_addrs,
+            hello: encode_hello(id, n, cfg.group_id),
+            conns: Vec::new(),
+            free: Vec::new(),
+            out_token: vec![None; n],
+            backoff: vec![cfg.backoff_base; n],
+            generation: vec![0; n],
+            ever_connected: vec![false; n],
+            wheel: TimerWheel::new(cfg.tick, Instant::now()),
+            metrics: metrics.clone(),
+            conns_gauge: registry.gauge("net.conns"),
+        };
+        let thread = thread::Builder::new()
+            .name(format!("curb-net-io-{id}"))
+            .spawn(move || event_loop.run())
+            .expect("spawn event-loop thread");
         let sender = RingSender {
             id,
             n,
-            nshards,
             high_watermark: cfg.high_watermark,
             shared: Arc::clone(&shared),
             metrics: metrics.clone(),
         };
         let release = sender.clone();
         let faults = LinkFaults::new(n, Arc::new(move |to, frame| release.send(to, frame)));
-        Ok(ShardPool {
-            nshards,
+        Ok(Reactor {
             shared,
             metrics,
-            threads,
+            thread: Some(thread),
             local_addr,
             sender,
             faults,
@@ -1345,10 +1188,6 @@ impl ShardPool {
 
     pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    pub(crate) fn shards(&self) -> usize {
-        self.nshards
     }
 
     /// Peers with an established outbound connection right now.
@@ -1373,34 +1212,34 @@ impl ShardPool {
     }
 
     /// Queues `frame` on `to`'s ring (through the link-fault gate),
-    /// applying the watermark, and wakes the owning shard when it
-    /// needs to look.
+    /// applying the watermark, and wakes the loop when it needs to
+    /// look.
     pub(crate) fn enqueue(&self, to: ReplicaId, frame: Arc<[u8]>) {
         if let Some(frame) = self.faults.admit(to, frame) {
             self.sender.send(to, frame);
         }
     }
 
-    /// The link-fault handle gating this pool's outbound frames.
+    /// The link-fault handle gating this reactor's outbound frames.
     pub(crate) fn faults(&self) -> Arc<LinkFaults> {
         Arc::clone(&self.faults)
     }
 
-    /// Signals every shard to exit. Threads are joined on drop.
+    /// Signals the loop to exit. The thread is joined on drop.
     pub(crate) fn shutdown(&self) {
         self.faults.stop();
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.wake_all();
+        self.shared.wake();
     }
 }
 
-impl Drop for ShardPool {
+impl Drop for Reactor {
     fn drop(&mut self) {
         self.shutdown();
-        // Join the shards so every socket (and the listening port) is
+        // Join the loop so every socket (and the listening port) is
         // closed by the time `drop` returns — a restarted node can
         // rebind immediately.
-        for thread in self.threads.drain(..) {
+        if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
         // Frames still ringed at shutdown will never be written; drain
@@ -1414,250 +1253,12 @@ impl Drop for ShardPool {
     }
 }
 
-/// The [`ShardSink`] behind [`ReactorTransport`]: decodes each frame
-/// as a PBFT message and queues it (with peer transitions) for the
-/// runner thread.
-struct ReplicaSink<P> {
-    events_tx: Sender<NetEvent<P>>,
-    ready_depth: Gauge,
-}
-
-impl<P: PayloadCodec + Send + 'static> ShardSink for ReplicaSink<P> {
-    fn on_frame(&self, from: usize, frame: FrameRef) {
-        // A malformed body is dropped but the connection survives:
-        // framing is still intact. The FrameRef drops here — the
-        // decoded message owns its fields — so the decoder block
-        // recycles immediately.
-        if let Ok(msg) = decode_msg::<P>(&frame) {
-            if self.events_tx.send(NetEvent::Inbound { from, msg }).is_ok() {
-                self.ready_depth.add(1);
-            }
-        }
-    }
-
-    fn on_peer(&self, from: usize, up: bool) {
-        let event = if up {
-            NetEvent::PeerUp(from)
-        } else {
-            NetEvent::PeerDown(from)
-        };
-        if self.events_tx.send(event).is_ok() {
-            self.ready_depth.add(1);
-        }
-    }
-}
-
-/// A [`Transport`] over real TCP sockets, multiplexed by a pool of
-/// epoll shard threads instead of two threads per peer.
-///
-/// Bind each replica with
-/// [`ReactorTransport::bind`], giving every replica the same ordered
-/// list of peer addresses (index = replica id). With the default
-/// `shards = 1` the transport costs exactly one networking thread;
-/// larger groups scale by raising [`ReactorConfig::shards`], which
-/// partitions peers across additional event loops without any
-/// cross-shard locking on the hot path.
-pub struct ReactorTransport<P> {
-    id: ReplicaId,
-    n: usize,
-    cfg: ReactorConfig,
-    pool: ShardPool,
-    events: Mutex<Receiver<NetEvent<P>>>,
-    encode_buf: Mutex<Vec<u8>>,
-    metrics: ReactorMetrics,
-    registry: Registry,
-}
-
-impl<P: PayloadCodec + Send + 'static> ReactorTransport<P> {
-    /// Starts the reactor transport for replica `id` on `listener`.
-    ///
-    /// `peer_addrs[i]` must be where replica `i` listens;
-    /// `peer_addrs[id]` is this replica's own address. The pool begins
-    /// dialing peers immediately; peers that are not up yet are
-    /// retried with capped exponential backoff off the timer wheel.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from configuring the listener, the epoll
-    /// instances or the wake pipes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id >= peer_addrs.len()`.
-    pub fn bind(
-        id: ReplicaId,
-        listener: TcpListener,
-        peer_addrs: Vec<SocketAddr>,
-        cfg: ReactorConfig,
-    ) -> io::Result<ReactorTransport<P>> {
-        Self::bind_with_registry(id, listener, peer_addrs, cfg, Registry::new())
-    }
-
-    /// Like [`ReactorTransport::bind`], but publishes the pool's
-    /// metrics into the caller's `registry` — share one registry with
-    /// [`NetRunner::spawn_with_registry`] to see runner and transport
-    /// metrics side by side.
-    ///
-    /// [`NetRunner::spawn_with_registry`]: crate::NetRunner::spawn_with_registry
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from configuring the listener, the epoll
-    /// instances or the wake pipes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id >= peer_addrs.len()`.
-    pub fn bind_with_registry(
-        id: ReplicaId,
-        listener: TcpListener,
-        peer_addrs: Vec<SocketAddr>,
-        cfg: ReactorConfig,
-        registry: Registry,
-    ) -> io::Result<ReactorTransport<P>> {
-        let n = peer_addrs.len();
-        let metrics = ReactorMetrics::new(&registry);
-        let (events_tx, events_rx) = channel();
-        let sink = Arc::new(ReplicaSink::<P> {
-            events_tx,
-            ready_depth: metrics.ready_depth.clone(),
-        });
-        let pool = ShardPool::bind(
-            id,
-            listener,
-            peer_addrs,
-            cfg.clone(),
-            &registry,
-            sink,
-            "curb-net-reactor",
-        )?;
-        Ok(ReactorTransport {
-            id,
-            n,
-            cfg,
-            pool,
-            events: Mutex::new(events_rx),
-            encode_buf: Mutex::new(Vec::with_capacity(4 << 10)),
-            metrics,
-            registry,
-        })
-    }
-
-    /// The registry this transport publishes its metrics into.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The address this transport's listener is bound to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.pool.local_addr()
-    }
-
-    /// The number of reactor shards serving this transport.
-    pub fn shards(&self) -> usize {
-        self.pool.shards()
-    }
-
-    /// Peers with an established outbound connection right now.
-    pub fn connected_peers(&self) -> usize {
-        self.pool.connected_peers()
-    }
-
-    /// Frames dropped since startup: encode-time oversize plus
-    /// watermark overflow.
-    pub fn dropped_frames(&self) -> usize {
-        self.pool.dropped_frames()
-    }
-
-    /// The link-fault injection handle for this transport: cut or slow
-    /// individual outbound links while the cluster runs.
-    pub fn faults(&self) -> Arc<LinkFaults> {
-        self.pool.faults()
-    }
-
-    /// Encodes `msg` once into a frame body all peer rings can share.
-    fn encode_shared(&self, msg: &PbftMsg<P>) -> Option<Arc<[u8]>> {
-        let t_encode = curb_telemetry::enabled().then(Instant::now);
-        let mut buf = self.encode_buf.lock().expect("encode buffer poisoned");
-        buf.clear();
-        encode_msg_into(msg, &mut buf);
-        if buf.len() > self.cfg.max_frame {
-            self.pool.count_dropped();
-            return None;
-        }
-        let frame: Arc<[u8]> = Arc::from(buf.as_slice());
-        if let Some(t) = t_encode {
-            self.metrics.encode_ns.record(t.elapsed().as_nanos() as u64);
-        }
-        Some(frame)
-    }
-}
-
-impl<P: PayloadCodec + Send + 'static> Transport<P> for ReactorTransport<P> {
-    fn local_id(&self) -> ReplicaId {
-        self.id
-    }
-
-    fn group_size(&self) -> usize {
-        self.n
-    }
-
-    fn send(&self, to: ReplicaId, msg: &PbftMsg<P>) {
-        if to == self.id {
-            return;
-        }
-        if let Some(frame) = self.encode_shared(msg) {
-            self.pool.enqueue(to, frame);
-        }
-    }
-
-    fn broadcast(&self, msg: &PbftMsg<P>) {
-        // Encode once; all n-1 peer rings share the same bytes.
-        let Some(frame) = self.encode_shared(msg) else {
-            return;
-        };
-        for to in 0..self.n {
-            if to != self.id {
-                self.pool.enqueue(to, Arc::clone(&frame));
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<NetEvent<P>> {
-        let event = self
-            .events
-            .lock()
-            .expect("event queue poisoned")
-            .recv_timeout(timeout)
-            .ok();
-        if event.is_some() {
-            self.metrics.ready_depth.sub(1);
-        }
-        event
-    }
-
-    fn try_recv(&self) -> Option<NetEvent<P>> {
-        let event = self
-            .events
-            .lock()
-            .expect("event queue poisoned")
-            .try_recv()
-            .ok();
-        if event.is_some() {
-            self.metrics.ready_depth.sub(1);
-        }
-        event
-    }
-
-    fn shutdown(&self) {
-        self.pool.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use curb_consensus::{BytesPayload, Payload};
+    use crate::mux::ReactorTransport;
+    use crate::transport::{NetEvent, Transport};
+    use curb_consensus::{BytesPayload, Payload, PbftMsg};
 
     fn fast_cfg() -> ReactorConfig {
         ReactorConfig {
@@ -1744,93 +1345,6 @@ mod tests {
             group[1].recv_timeout(Duration::from_millis(50)),
             None | Some(NetEvent::PeerUp(_))
         ));
-    }
-
-    #[test]
-    fn sharded_group_exchanges_messages_across_all_peers() {
-        // 4 nodes, 2 shards each: every peer pair spans a shard
-        // boundary somewhere (inbound handoffs included), and the
-        // steady-state decode path must stay zero-copy.
-        let registry = Registry::new();
-        let cfg = ReactorConfig {
-            shards: 2,
-            ..fast_cfg()
-        };
-        let listeners: Vec<TcpListener> = (0..4)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr"))
-            .collect();
-        let group: Vec<ReactorTransport<BytesPayload>> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(id, l)| {
-                ReactorTransport::bind_with_registry(
-                    id,
-                    l,
-                    addrs.clone(),
-                    cfg.clone(),
-                    registry.clone(),
-                )
-                .expect("bind transport")
-            })
-            .collect();
-        assert_eq!(group[0].shards(), 2);
-        for (i, t) in group.iter().enumerate() {
-            let msg: PbftMsg<BytesPayload> = PbftMsg::Prepare {
-                view: i as u64,
-                seq: 1,
-                digest: p(b"s").digest(),
-            };
-            t.broadcast(&msg);
-        }
-        for (r, t) in group.iter().enumerate() {
-            let mut seen = [false; 4];
-            seen[r] = true;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while seen.iter().any(|s| !s) {
-                match t.recv_timeout(Duration::from_millis(100)) {
-                    Some(NetEvent::Inbound { from, .. }) => seen[from] = true,
-                    Some(_) => {}
-                    None => assert!(
-                        Instant::now() < deadline,
-                        "replica {r} missing broadcasts: {seen:?}"
-                    ),
-                }
-            }
-        }
-        assert_eq!(
-            registry.counter("net.decode_copy_bytes").get(),
-            0,
-            "steady-state decode path must be zero-copy"
-        );
-        assert_eq!(registry.gauge("net.shard_count").get(), 2);
-    }
-
-    #[test]
-    fn shard_pinning_is_stable_and_uniform() {
-        for shards in 1..=MAX_SHARDS {
-            for peer in 0..64 {
-                let s = shard_for_peer(peer, shards);
-                assert!(s < shards, "shard in range");
-                // Stable: the same peer always maps to the same shard.
-                assert_eq!(s, shard_for_peer(peer, shards));
-            }
-            // Uniform over dense ids: each shard owns 64/shards ± 1.
-            let mut counts = vec![0usize; shards];
-            for peer in 0..64 {
-                counts[shard_for_peer(peer, shards)] += 1;
-            }
-            let (min, max) = (
-                counts.iter().min().expect("nonempty"),
-                counts.iter().max().expect("nonempty"),
-            );
-            assert!(max - min <= 1, "shards {shards}: counts {counts:?}");
-        }
-        // Shard count 0 is treated as 1 rather than dividing by zero.
-        assert_eq!(shard_for_peer(7, 0), 0);
     }
 
     #[test]

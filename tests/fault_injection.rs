@@ -4,8 +4,9 @@
 //! converge to **full commit identity** — every replica, including the
 //! faulted one, delivers the identical (seq, index, payload) stream.
 //!
-//! Both scenarios run on the epoll `ReactorTransport`; the fault hooks
-//! sit on the `ShardPool` enqueue path it shares with the node mux.
+//! Both scenarios run on the epoll `ReactorTransport`, the one-lane
+//! case of the node mux; the fault hooks sit on the event loop's
+//! enqueue path, exactly where the cluster's backbone meets them.
 
 use curb::cluster::FaultPlane;
 use curb::consensus::{Batch, BytesPayload, Replica};

@@ -14,7 +14,9 @@
 //! never by re-delivering the pruned prefix.
 //!
 //! Every socket-level scenario runs on the epoll `ReactorTransport`,
-//! the one socket engine; `NetRunner` cannot tell it from the loopback.
+//! the one-lane case of the node mux — the same event loop, lane
+//! routing and lane codec the cluster runs; `NetRunner` cannot tell it
+//! from the loopback.
 
 use curb::consensus::{Batch, Behavior, BytesPayload, Replica, Seq};
 use curb::net::{

@@ -1,23 +1,21 @@
 //! The socket engine's scalability claim, measured: a 16-replica
 //! localhost cluster must run with at most 3 OS threads per replica
 //! spent on networking (a reader and a writer per peer would need ~31
-//! at this group size; the reactor needs exactly one), and a sharded
-//! backbone must run exactly `shards` event-loop threads.
+//! at this group size; the reactor needs exactly one), and a node
+//! backbone must run exactly one event-loop thread, gone after drop.
 //!
-//! Threads are counted by kernel name (`/proc/self/task/*/comm`), not
-//! by the process-wide `Threads:` total: the two tests run concurrently
-//! in one process, and each must see only its own threads. `comm` holds
-//! 15 bytes, so `ReactorTransport`'s `curb-net-reactor-{id}-s{idx}`
-//! reads `curb-net-reacto` for every id and shard; the mux backbone's
-//! `curb-mux-{id}-s{idx}` fits whole. The first test therefore counts
-//! the `curb-net-` family and the second binds `MuxTransport`s — the
-//! same `ShardPool` under another prefix — and matches exact names.
+//! Threads are counted by kernel name (`/proc/self/task/*/comm`, at
+//! most 15 bytes): the event loop is `curb-net-io-{id}`, the runner
+//! `curb-net-runner-{id}` cut to `curb-net-runner`. Both tests count
+//! the `curb-net-` family, so they take turns on one lock; each then
+//! sees only its own threads.
 
 use curb::consensus::{Batch, BytesPayload, Replica};
 use curb::net::{
-    MuxConfig, MuxTransport, NetRunner, ReactorConfig, ReactorTransport, RunnerConfig, RunnerHandle,
+    MuxTransport, NetRunner, ReactorConfig, ReactorTransport, RunnerConfig, RunnerHandle,
 };
 use std::net::{SocketAddr, TcpListener};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// The kernel names (`comm`, at most 15 bytes) of this process's
@@ -32,8 +30,15 @@ fn threads_named(prefix: &str) -> Vec<String> {
         .collect()
 }
 
+/// Serialises the tests of this file: each counts threads by name.
+fn census() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
+    let _census = census();
     const N: usize = 16;
     const NET_THREAD_BUDGET_PER_REPLICA: usize = 3;
     // `curb-net-runner-{id}`, cut to 15 bytes.
@@ -78,6 +83,11 @@ fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
     let ours = threads_named("curb-net-");
     let runners = ours.iter().filter(|name| *name == RUNNER).count();
     assert_eq!(runners, N, "one runner thread per replica: {ours:?}");
+    let loops = ours
+        .iter()
+        .filter(|name| name.starts_with("curb-net-io-"))
+        .count();
+    assert_eq!(loops, N, "one event loop per replica: {ours:?}");
     let net_threads = ours.len() - runners;
     assert!(
         (N..=N * NET_THREAD_BUDGET_PER_REPLICA).contains(&net_threads),
@@ -91,12 +101,11 @@ fn sixteen_replica_reactor_cluster_uses_one_net_thread_per_replica() {
 }
 
 #[test]
-fn shard_count_is_respected_in_os_thread_count() {
-    // A sharded backbone must spawn exactly `shards` event-loop
-    // threads per node — no hidden helpers, no thread-per-peer
-    // regression.
+fn a_backbone_runs_exactly_one_event_loop_thread() {
+    // One event loop per node, whatever the peer count — no hidden
+    // helpers, no thread-per-peer regression — and drop joins it.
+    let _census = census();
     const N: usize = 3;
-    const SHARDS: usize = 3;
 
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
@@ -105,22 +114,17 @@ fn shard_count_is_respected_in_os_thread_count() {
         .iter()
         .map(|l| l.local_addr().expect("addr"))
         .collect();
-    let cfg = MuxConfig {
-        shards: SHARDS,
-        ..MuxConfig::default()
-    };
     let transports: Vec<MuxTransport<BytesPayload>> = listeners
         .into_iter()
         .enumerate()
         .map(|(id, l)| {
-            MuxTransport::bind(id, l, addrs.clone(), cfg.clone()).expect("bind backbone")
+            MuxTransport::bind(id, l, addrs.clone(), ReactorConfig::default())
+                .expect("bind backbone")
         })
         .collect();
-    assert!(transports.iter().all(|t| t.shards() == SHARDS));
 
     // Every node hears each peer's one broadcast, so the names are
-    // read with the full mesh (3·2 sockets, spread over the shards)
-    // connected.
+    // read with the full mesh (3·2 sockets) connected.
     for t in &transports {
         t.broadcast_app(b"up");
     }
@@ -131,18 +135,19 @@ fn shard_count_is_respected_in_os_thread_count() {
         }
     }
 
-    let mut names = threads_named("curb-mux-");
+    let mut names = threads_named("curb-net-");
     names.sort();
-    let expected: Vec<String> = (0..N)
-        .flat_map(|id| (0..SHARDS).map(move |idx| format!("curb-mux-{id}-s{idx}")))
-        .collect();
+    let expected: Vec<String> = (0..N).map(|id| format!("curb-net-io-{id}")).collect();
     assert_eq!(
         names, expected,
-        "each of the {N} backbones must run exactly its {SHARDS} shard threads"
+        "each of the {N} backbones must run exactly one event-loop thread"
     );
 
     drop(transports);
-    // Shutdown joins every shard: the threads must actually be gone.
-    let left = threads_named("curb-mux-");
-    assert!(left.is_empty(), "shard threads must exit on drop: {left:?}");
+    // Drop joins the loop: the threads must actually be gone.
+    let left = threads_named("curb-net-");
+    assert!(
+        left.is_empty(),
+        "event-loop threads must exit on drop: {left:?}"
+    );
 }

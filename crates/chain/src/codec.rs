@@ -1,40 +1,43 @@
-//! Binary persistence for the blockchain database.
+//! The one byte codec of the node: wire frames, consensus payloads and
+//! the write-ahead log all read and write through this module.
 //!
-//! The paper's blockchain component "persistently stores the chain of
-//! blocks"; this module provides the storage format — a compact,
-//! self-delimiting binary codec with a magic header and integrity
-//! verification on load. No external serialisation crate is used.
+//! Integers are big-endian, digests are 32 raw bytes, byte strings are
+//! prefixed by a `u32` length, and a list is a `u32` count followed by
+//! its items. [`Block::to_bytes`] is the unit the WAL ([`crate::wal`])
+//! stores per record; the WAL is the chain's archive, so there is no
+//! separate whole-chain file format.
+//!
+//! Every decoder is total over hostile input: a byzantine peer controls
+//! every byte it sends. A count is accepted only if the bytes left can
+//! hold that many items at their minimum encoded size
+//! ([`ByteReader::count`]), so no input reserves more memory than a
+//! small multiple of its own length.
 
 use crate::block::{Block, BlockHeader};
-use crate::chain::{Blockchain, ChainError};
 use crate::transaction::{RequestKind, Transaction};
 use core::fmt;
 use curb_crypto::sha256::Digest;
 use curb_crypto::{PublicKey, Signature};
 
-/// File magic: `CURBCHN` plus a format version byte.
-const MAGIC: &[u8; 8] = b"CURBCHN\x01";
+/// Smallest encoded transaction: kind, switch, controller, an empty
+/// config and the signature flag.
+const TX_MIN_LEN: usize = 1 + 8 + 8 + 4 + 1;
 
-/// Errors raised when decoding a persisted chain.
+/// Errors raised when decoding bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CodecError {
-    /// The input does not start with the expected magic/version.
-    BadMagic,
     /// The input ended mid-structure.
     Truncated,
-    /// A length or tag field carries an implausible value.
+    /// A length, count or tag field carries an implausible value, or
+    /// bytes trail a complete value.
     Corrupt(&'static str),
-    /// The decoded chain fails [`Blockchain::verify`].
-    Invalid(ChainError),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "not a curb chain file (bad magic)"),
             CodecError::Truncated => write!(f, "unexpected end of input"),
             CodecError::Corrupt(what) => write!(f, "corrupt field: {what}"),
-            CodecError::Invalid(e) => write!(f, "decoded chain fails verification: {e}"),
         }
     }
 }
@@ -42,11 +45,6 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A cursor over a byte buffer with big-endian primitive accessors.
-///
-/// Used internally to decode persisted chains, and publicly by
-/// `curb-net` to decode consensus wire frames — both formats share the
-/// same primitive layout (big-endian integers, 32-byte digests,
-/// u32-length-prefixed byte strings).
 #[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -82,6 +80,10 @@ impl<'a> ByteReader<'a> {
         Ok(head)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
@@ -91,15 +93,22 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads a big-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] if fewer than 2 bytes remain.
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
     /// Reads a big-endian `u32`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`] if fewer than 4 bytes remain.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian `u64`.
@@ -108,9 +117,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::Truncated`] if fewer than 8 bytes remain.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_be_bytes)
     }
 
     /// Reads a 32-byte digest.
@@ -119,31 +126,71 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::Truncated`] if fewer than 32 bytes remain.
     pub fn digest(&mut self) -> Result<Digest, CodecError> {
-        let mut d = [0u8; 32];
-        d.copy_from_slice(self.take(32)?);
-        Ok(Digest(d))
+        self.array().map(Digest)
     }
 
-    /// Reads a u32-length-prefixed byte string (capped at 64 MiB).
+    /// Reads a u32-length-prefixed byte string, borrowed from the input.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Truncated`] on short input,
-    /// [`CodecError::Corrupt`] on an implausible length prefix.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    /// [`CodecError::Truncated`] if the string runs past the input.
+    pub fn len_prefixed(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
-        if len > 64 << 20 {
-            return Err(CodecError::Corrupt("oversized byte field"));
+        self.take(len)
+    }
+
+    /// Reads a `u32` item count, accepted only if the bytes left can
+    /// hold that many items of at least `min_len` bytes each. A caller
+    /// may then reserve `count` items up front: a hostile count fails
+    /// here instead of reserving memory the input cannot back.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] on short input, [`CodecError::Corrupt`]
+    /// carrying `what` on a count the remaining bytes cannot hold.
+    pub fn count(&mut self, min_len: usize, what: &'static str) -> Result<usize, CodecError> {
+        debug_assert!(min_len > 0, "every item takes at least one byte");
+        let count = self.u32()? as usize;
+        match count.checked_mul(min_len) {
+            Some(need) if need <= self.remaining() => Ok(count),
+            _ => Err(CodecError::Corrupt(what)),
         }
-        Ok(self.take(len)?.to_vec())
     }
 }
 
+/// Decodes all of `bytes` with `read`, rejecting bytes left over.
+///
+/// # Errors
+///
+/// Whatever `read` returns, or [`CodecError::Corrupt`] on trailing bytes.
+pub fn decode_all<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let value = read(&mut r)?;
+    if !r.is_empty() {
+        return Err(CodecError::Corrupt("trailing bytes"));
+    }
+    Ok(value)
+}
+
 /// Appends a u32-length-prefixed byte string (the inverse of
-/// [`ByteReader::bytes`]).
+/// [`ByteReader::len_prefixed`]).
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
     out.extend_from_slice(bytes);
+}
+
+/// Appends a u32 length prefix and whatever `write` appends after it.
+/// The length is back-patched, so the body is encoded in place with no
+/// scratch buffer; the bytes equal [`put_bytes`] of the body.
+pub fn put_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 fn encode_tx(out: &mut Vec<u8>, tx: &Transaction) {
@@ -174,24 +221,23 @@ fn decode_tx(r: &mut ByteReader<'_>) -> Result<Transaction, CodecError> {
     };
     let switch = r.u64()?;
     let controller = r.u64()?;
-    let config = r.bytes()?;
+    let config = r.len_prefixed()?.to_vec();
     let mut tx = Transaction::new(kind, switch, controller, config);
     match r.u8()? {
         0 => {}
         1 => {
-            let pk_bytes: [u8; 32] = r.take(32)?.try_into().expect("32 bytes");
-            let sig_bytes: [u8; 64] = r.take(64)?.try_into().expect("64 bytes");
-            tx.signature = Some((
-                PublicKey::from_bytes(&pk_bytes),
-                Signature::from_bytes(&sig_bytes),
-            ));
+            let pk = PublicKey::from_bytes(&r.array()?);
+            tx.signature = Some((pk, Signature::from_bytes(&r.array()?)));
         }
         _ => return Err(CodecError::Corrupt("signature flag")),
     }
     Ok(tx)
 }
 
-fn encode_block(out: &mut Vec<u8>, block: &Block) {
+/// Appends a block: header, then its transactions. The one block
+/// encoding of the node — the WAL record, the final-committee proposal
+/// and the block announcement all carry these bytes.
+pub fn encode_block(out: &mut Vec<u8>, block: &Block) {
     out.extend_from_slice(&block.header.height.to_be_bytes());
     out.extend_from_slice(&block.header.prev_hash.0);
     out.extend_from_slice(&block.header.merkle_root.0);
@@ -202,28 +248,27 @@ fn encode_block(out: &mut Vec<u8>, block: &Block) {
     }
 }
 
-fn decode_block(r: &mut ByteReader<'_>) -> Result<Block, CodecError> {
-    let height = r.u64()?;
-    let prev_hash = r.digest()?;
-    let merkle_root = r.digest()?;
-    let timestamp_ns = r.u64()?;
-    let n_txs = r.u32()?;
-    if n_txs > 1 << 24 {
-        return Err(CodecError::Corrupt("transaction count"));
-    }
-    let mut txs = Vec::with_capacity(n_txs as usize);
-    for _ in 0..n_txs {
+/// Reads a block written by [`encode_block`]. The block is decoded
+/// structurally only: callers that take blocks from peers also check
+/// [`Block::body_matches_header`], and the chain checks the hash link
+/// on append.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] on malformed input.
+pub fn decode_block(r: &mut ByteReader<'_>) -> Result<Block, CodecError> {
+    let header = BlockHeader {
+        height: r.u64()?,
+        prev_hash: r.digest()?,
+        merkle_root: r.digest()?,
+        timestamp_ns: r.u64()?,
+    };
+    let count = r.count(TX_MIN_LEN, "transaction count")?;
+    let mut txs = Vec::with_capacity(count);
+    for _ in 0..count {
         txs.push(decode_tx(r)?);
     }
-    Ok(Block {
-        header: BlockHeader {
-            height,
-            prev_hash,
-            merkle_root,
-            timestamp_ns,
-        },
-        txs,
-    })
+    Ok(Block { header, txs })
 }
 
 impl Block {
@@ -243,157 +288,116 @@ impl Block {
     ///
     /// Returns a [`CodecError`] on malformed or trailing input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Block, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let block = decode_block(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes"));
-        }
-        Ok(block)
-    }
-}
-
-impl Blockchain {
-    /// Serialises the full chain (including genesis) to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.len() as u64).to_be_bytes());
-        for block in self.iter() {
-            encode_block(&mut out, block);
-        }
-        out
-    }
-
-    /// Restores a chain persisted with [`Blockchain::to_bytes`],
-    /// re-verifying every hash link, Merkle commitment and signature.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on malformed input or if the decoded
-    /// chain fails verification (e.g. the file was tampered with).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Blockchain, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(8)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let n_blocks = r.u64()?;
-        if n_blocks == 0 || n_blocks > 1 << 32 {
-            return Err(CodecError::Corrupt("block count"));
-        }
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
-        for _ in 0..n_blocks {
-            blocks.push(decode_block(&mut r)?);
-        }
-        if !r.buf.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes"));
-        }
-        let chain = Blockchain::from_blocks(blocks).map_err(CodecError::Invalid)?;
-        Ok(chain)
+        decode_all(bytes, decode_block)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Blockchain;
     use curb_crypto::rng::DetRng;
     use curb_crypto::KeyPair;
 
-    fn sample_chain() -> Blockchain {
+    /// A block holding one signed and one unsigned transaction.
+    fn sample_block() -> Block {
         let mut rng = DetRng::new(4);
         let keys = KeyPair::generate(&mut rng);
-        let mut chain = Blockchain::with_genesis(b"assignment v0");
         let mut signed = Transaction::new(RequestKind::PacketIn, 3, 1, vec![1, 2, 3]);
         signed.sign(&keys, &mut rng);
         let unsigned = Transaction::new(RequestKind::Reassign, 4, 2, vec![9]);
-        chain
-            .append(Block::next(chain.tip(), vec![signed, unsigned], 100))
-            .unwrap();
-        chain
-            .append(Block::next(
-                chain.tip(),
-                vec![Transaction::new(RequestKind::PacketIn, 7, 1, vec![])],
-                200,
-            ))
-            .unwrap();
-        chain
+        Block::next(
+            &Block::genesis(b"assignment v0"),
+            vec![signed, unsigned],
+            100,
+        )
     }
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let chain = sample_chain();
-        let bytes = chain.to_bytes();
-        let restored = Blockchain::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.len(), chain.len());
-        assert_eq!(restored.tip().hash(), chain.tip().hash());
-        assert_eq!(restored.tx_count(), chain.tx_count());
-        restored.verify().unwrap();
-        // Signed transaction survives with its signature.
-        let (_, tx) = restored
-            .find_tx(&chain.block_at(1).unwrap().txs[0].id())
-            .expect("signed tx present");
-        assert!(tx.signature.is_some());
-        assert!(tx.verify_signature());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = sample_chain().to_bytes();
-        bytes[0] ^= 0xFF;
-        assert!(matches!(
-            Blockchain::from_bytes(&bytes),
-            Err(CodecError::BadMagic)
-        ));
+        let block = sample_block();
+        let restored = Block::from_bytes(&block.to_bytes()).unwrap();
+        assert_eq!(restored, block);
+        assert!(restored.body_matches_header());
+        // The signed transaction survives with its signature.
+        assert!(restored.txs[0].signature.is_some());
+        assert!(restored.txs[0].verify_signature());
+        let mut chain = Blockchain::with_genesis(b"assignment v0");
+        chain.append(restored).unwrap();
+        chain.verify().unwrap();
     }
 
     #[test]
     fn truncation_rejected() {
-        let bytes = sample_chain().to_bytes();
-        for cut in [9, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                Blockchain::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
+        let bytes = sample_block().to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Block::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn tampered_payload_fails_verification() {
-        let chain = sample_chain();
-        let bytes = chain.to_bytes();
-        // Flip one byte somewhere in the block bodies (past the magic
-        // and count) and require SOME failure on load.
-        let mut any_rejected = false;
-        for pos in [60usize, 120, 200] {
-            if pos >= bytes.len() {
-                continue;
-            }
+        // Any flipped bit in the body fails to decode, breaks the Merkle
+        // commitment or breaks a signature.
+        let bytes = sample_block().to_bytes();
+        for pos in 84..bytes.len() {
             let mut tampered = bytes.clone();
             tampered[pos] ^= 0x01;
-            if Blockchain::from_bytes(&tampered).is_err() {
-                any_rejected = true;
+            if let Ok(block) = Block::from_bytes(&tampered) {
+                let genesis = Block::genesis(b"assignment v0");
+                assert!(
+                    Blockchain::from_blocks(vec![genesis, block]).is_err(),
+                    "flip at {pos} went unseen"
+                );
             }
         }
-        assert!(any_rejected, "tampering must be caught by verification");
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut bytes = sample_chain().to_bytes();
+        let mut bytes = sample_block().to_bytes();
         bytes.push(0);
-        assert!(matches!(
-            Blockchain::from_bytes(&bytes),
+        assert_eq!(
+            Block::from_bytes(&bytes),
             Err(CodecError::Corrupt("trailing bytes"))
-        ));
+        );
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // A count of 2, then 8 bytes: two items of 4 fit, two of 5 do not.
+        let bytes = [0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8];
+        assert_eq!(ByteReader::new(&bytes).count(4, "x"), Ok(2));
+        assert_eq!(
+            ByteReader::new(&bytes).count(5, "x"),
+            Err(CodecError::Corrupt("x"))
+        );
+        let huge = u32::MAX.to_be_bytes();
+        assert_eq!(
+            ByteReader::new(&huge).count(1, "x"),
+            Err(CodecError::Corrupt("x"))
+        );
+        assert_eq!(
+            ByteReader::new(&[0, 0]).count(1, "x"),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn prefixed_writer_matches_put_bytes() {
+        let mut patched = vec![7];
+        put_prefixed(&mut patched, |out| out.extend_from_slice(b"abc"));
+        let mut plain = vec![7];
+        put_bytes(&mut plain, b"abc");
+        assert_eq!(patched, plain);
+        let mut r = ByteReader::new(&plain[1..]);
+        assert_eq!(r.len_prefixed(), Ok(&b"abc"[..]));
+        assert!(r.is_empty());
     }
 
     #[test]
     fn error_display_nonempty() {
-        for e in [
-            CodecError::BadMagic,
-            CodecError::Truncated,
-            CodecError::Corrupt("x"),
-            CodecError::Invalid(ChainError::BrokenLink),
-        ] {
+        for e in [CodecError::Truncated, CodecError::Corrupt("x")] {
             assert!(!e.to_string().is_empty());
         }
     }

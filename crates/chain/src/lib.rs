@@ -11,6 +11,11 @@
 //! blocks are hash-linked, transaction sets are Merkle-hashed, and any
 //! single-bit mutation of history is detected by [`Blockchain::verify`].
 //!
+//! Blocks persist in the write-ahead log ([`wal`]), one
+//! [`Block::to_bytes`] record per block. The WAL is the chain's
+//! archive; there is no whole-chain file format. [`codec`] is the one
+//! byte codec of the node, for the WAL and the wire alike.
+//!
 //! # Examples
 //!
 //! ```rust

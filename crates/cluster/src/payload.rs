@@ -19,6 +19,7 @@
 //!
 //! [`MuxTransport`]: curb_net::MuxTransport
 
+use curb_chain::codec::{decode_all, ByteReader, CodecError};
 use curb_consensus::{Payload, PayloadCodec};
 use curb_core::{BlockPayload, TxListPayload};
 use curb_crypto::sha256::{digest_parts, Digest};
@@ -84,13 +85,7 @@ impl PayloadCodec for CtrlPayload {
         match self {
             CtrlPayload::Txs { txs, ctxs } => {
                 out.push(0);
-                // Contexts go before the tx list: the tx codec
-                // consumes the remainder of the buffer.
-                out.extend_from_slice(&(ctxs.len() as u32).to_be_bytes());
-                for ctx in ctxs {
-                    ctx.encode_to(out);
-                }
-                txs.encode_payload(out);
+                put_traced(out, ctxs, txs);
             }
             CtrlPayload::Block(block) => {
                 out.push(1);
@@ -100,31 +95,48 @@ impl PayloadCodec for CtrlPayload {
     }
 
     fn decode_payload(bytes: &[u8]) -> Option<Self> {
-        let (tag, mut rest) = bytes.split_first()?;
-        match tag {
-            0 => {
-                if rest.len() < 4 {
-                    return None;
-                }
-                let (head, tail) = rest.split_at(4);
-                rest = tail;
-                let count = u32::from_be_bytes(head.try_into().ok()?);
-                let mut ctxs = Vec::new();
-                for _ in 0..count {
-                    // Decode-as-you-go: a hostile count fails on the
-                    // first missing context instead of pre-allocating.
-                    ctxs.push(TraceCtx::decode(&mut rest)?);
-                }
-                let txs = TxListPayload::decode_payload(rest)?;
-                if ctxs.len() != txs.0.len() {
-                    return None;
-                }
-                Some(CtrlPayload::Txs { txs, ctxs })
-            }
-            1 => BlockPayload::decode_payload(rest).map(CtrlPayload::Block),
-            _ => None,
-        }
+        decode_all(bytes, |r| match r.u8()? {
+            0 => read_traced(r).map(|(ctxs, txs)| CtrlPayload::Txs { txs, ctxs }),
+            1 => BlockPayload::read(r).map(CtrlPayload::Block),
+            _ => Err(CodecError::Corrupt("payload tag")),
+        })
+        .ok()
     }
+}
+
+/// Appends a transaction list traced one context per transaction:
+/// `u32` count, the contexts, then the list. The layout of both
+/// [`CtrlPayload::Txs`] and [`ClusterMsg::Agree`].
+///
+/// [`ClusterMsg::Agree`]: crate::ClusterMsg::Agree
+pub(crate) fn put_traced(out: &mut Vec<u8>, ctxs: &[TraceCtx], txs: &TxListPayload) {
+    out.extend_from_slice(&(ctxs.len() as u32).to_be_bytes());
+    for ctx in ctxs {
+        ctx.encode_to(out);
+    }
+    txs.encode_payload(out);
+}
+
+/// Reads what [`put_traced`] wrote, rejecting a context count that
+/// differs from the transaction count.
+pub(crate) fn read_traced(
+    r: &mut ByteReader<'_>,
+) -> Result<(Vec<TraceCtx>, TxListPayload), CodecError> {
+    let n = r.count(TraceCtx::WIRE_LEN, "trace-context count")?;
+    let mut ctxs = Vec::with_capacity(n);
+    for _ in 0..n {
+        ctxs.push(read_ctx(r)?);
+    }
+    let txs = TxListPayload::read(r)?;
+    if ctxs.len() != txs.0.len() {
+        return Err(CodecError::Corrupt("trace-context count"));
+    }
+    Ok((ctxs, txs))
+}
+
+/// Reads one fixed-size [`TraceCtx`].
+pub(crate) fn read_ctx(r: &mut ByteReader<'_>) -> Result<TraceCtx, CodecError> {
+    TraceCtx::decode(&mut r.take(TraceCtx::WIRE_LEN)?).ok_or(CodecError::Truncated)
 }
 
 #[cfg(test)]

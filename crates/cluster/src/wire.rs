@@ -17,9 +17,9 @@
 //!
 //! [`APP_LANE`]: curb_net::APP_LANE
 
+use crate::payload::{put_traced, read_ctx, read_traced};
+use curb_chain::codec::{decode_all, decode_block, encode_block, CodecError};
 use curb_chain::Block;
-use curb_consensus::PayloadCodec;
-use curb_core::payload::{decode_block, encode_block};
 use curb_core::{ConfigData, RequestKey, RequestRecord, SwitchId, TxListPayload};
 use curb_telemetry::TraceCtx;
 
@@ -81,7 +81,7 @@ impl SbMsg {
             }
             SbMsg::Request { record, ctx } => {
                 out.push(1);
-                out.extend_from_slice(&record.signing_bytes());
+                record.encode_to(&mut out);
                 ctx.encode_to(&mut out);
             }
             SbMsg::Reply {
@@ -94,7 +94,7 @@ impl SbMsg {
                 out.extend_from_slice(&controller.to_be_bytes());
                 out.extend_from_slice(&(key.switch.0 as u64).to_be_bytes());
                 out.extend_from_slice(&key.seq.to_be_bytes());
-                out.extend_from_slice(&config.encode());
+                config.encode_to(&mut out);
                 ctx.encode_to(&mut out);
             }
         }
@@ -103,37 +103,24 @@ impl SbMsg {
 
     /// Decodes one frame body. `None` on malformed or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Option<SbMsg> {
-        let (tag, mut rest) = bytes.split_first()?;
-        let msg = match tag {
-            0 => SbMsg::Hello {
-                switch: take_u64(&mut rest)?,
-            },
-            1 => SbMsg::Request {
-                record: RequestRecord::decode(&mut rest)?,
-                ctx: TraceCtx::decode(&mut rest)?,
-            },
-            2 => {
-                let controller = take_u64(&mut rest)?;
-                let switch = take_u64(&mut rest)? as usize;
-                let seq = take_u64(&mut rest)?;
-                let config = ConfigData::decode(&mut rest)?;
-                let ctx = TraceCtx::decode(&mut rest)?;
-                SbMsg::Reply {
-                    controller,
-                    key: RequestKey {
-                        switch: SwitchId(switch),
-                        seq,
-                    },
-                    config,
-                    ctx,
-                }
-            }
-            _ => return None,
-        };
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(msg)
+        decode_all(bytes, |r| match r.u8()? {
+            0 => Ok(SbMsg::Hello { switch: r.u64()? }),
+            1 => Ok(SbMsg::Request {
+                record: RequestRecord::read(r)?,
+                ctx: read_ctx(r)?,
+            }),
+            2 => Ok(SbMsg::Reply {
+                controller: r.u64()?,
+                key: RequestKey {
+                    switch: SwitchId(r.u64()? as usize),
+                    seq: r.u64()?,
+                },
+                config: ConfigData::read(r)?,
+                ctx: read_ctx(r)?,
+            }),
+            _ => Err(CodecError::Corrupt("southbound tag")),
+        })
+        .ok()
     }
 }
 
@@ -191,13 +178,7 @@ impl ClusterMsg {
                 out.push(0);
                 out.extend_from_slice(&epoch.to_be_bytes());
                 out.extend_from_slice(&group.to_be_bytes());
-                // Contexts go before the tx list: the tx codec
-                // consumes the remainder of the buffer.
-                out.extend_from_slice(&(ctxs.len() as u32).to_be_bytes());
-                for ctx in ctxs {
-                    ctx.encode_to(&mut out);
-                }
-                txs.encode_payload(&mut out);
+                put_traced(&mut out, ctxs, txs);
             }
             ClusterMsg::FinalBlock { epoch, block } => {
                 out.push(1);
@@ -206,75 +187,42 @@ impl ClusterMsg {
             }
             ClusterMsg::Forward { record, ctx } => {
                 out.push(2);
-                out.extend_from_slice(&record.signing_bytes());
+                record.encode_to(&mut out);
                 ctx.encode_to(&mut out);
             }
         }
         out
     }
 
-    /// Decodes one app-lane payload. `None` on malformed input.
+    /// Decodes one app-lane payload. `None` on malformed input, on
+    /// trailing bytes and on a block whose body does not match its
+    /// header's Merkle commitment.
     pub fn decode(bytes: &[u8]) -> Option<ClusterMsg> {
-        let (tag, mut rest) = bytes.split_first()?;
-        match tag {
+        decode_all(bytes, |r| match r.u8()? {
             0 => {
-                let epoch = take_u64(&mut rest)?;
-                let group = take_u64(&mut rest)?;
-                let count = take_u32(&mut rest)?;
-                let mut ctxs = Vec::new();
-                for _ in 0..count {
-                    // Decode-as-you-go: a hostile count fails on the
-                    // first missing context instead of pre-allocating.
-                    ctxs.push(TraceCtx::decode(&mut rest)?);
-                }
-                let txs = TxListPayload::decode_payload(rest)?;
-                if ctxs.len() != txs.0.len() {
-                    return None;
-                }
-                Some(ClusterMsg::Agree {
+                let (epoch, group) = (r.u64()?, r.u64()?);
+                let (ctxs, txs) = read_traced(r)?;
+                Ok(ClusterMsg::Agree {
                     epoch,
                     group,
                     ctxs,
                     txs,
                 })
             }
-            1 => {
-                let epoch = take_u64(&mut rest)?;
-                let block = decode_block(&mut rest)?;
-                if !rest.is_empty() {
-                    return None;
+            1 => match (r.u64()?, decode_block(r)?) {
+                (epoch, block) if block.body_matches_header() => {
+                    Ok(ClusterMsg::FinalBlock { epoch, block })
                 }
-                Some(ClusterMsg::FinalBlock { epoch, block })
-            }
-            2 => {
-                let record = RequestRecord::decode(&mut rest)?;
-                let ctx = TraceCtx::decode(&mut rest)?;
-                if !rest.is_empty() {
-                    return None;
-                }
-                Some(ClusterMsg::Forward { record, ctx })
-            }
-            _ => None,
-        }
+                _ => Err(CodecError::Corrupt("block body")),
+            },
+            2 => Ok(ClusterMsg::Forward {
+                record: RequestRecord::read(r)?,
+                ctx: read_ctx(r)?,
+            }),
+            _ => Err(CodecError::Corrupt("app message tag")),
+        })
+        .ok()
     }
-}
-
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    if buf.len() < 8 {
-        return None;
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Some(u64::from_be_bytes(head.try_into().ok()?))
-}
-
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    Some(u32::from_be_bytes(head.try_into().ok()?))
 }
 
 #[cfg(test)]

@@ -65,8 +65,8 @@ pub use metrics::{Report, RoundReport};
 pub use msg::CurbMsg;
 pub use network::{CurbNetwork, CurbNode, SetupError};
 pub use payload::{
-    decode_block, encode_block, BlockPayload, ConfigData, FlowRuleSpec, ProtoTx, ReqKind,
-    RequestKey, RequestRecord, SignedRequest, TxListPayload,
+    BlockPayload, ConfigData, FlowRuleSpec, ProtoTx, ReqKind, RequestKey, RequestRecord,
+    SignedRequest, TxListPayload,
 };
 pub use round::{Audit, EvidenceBook, ReplyMatcher, ReplyOutcome};
 pub use shared::{ControllerBehavior, Shared};

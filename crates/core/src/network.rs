@@ -907,8 +907,8 @@ mod tests {
         let genesis = net.blockchain().block_at(0).unwrap();
         assert_eq!(genesis.txs.len(), 1);
         // The record decodes back to the epoch's groups.
-        let mut buf = genesis.txs[0].config.as_slice();
-        match ConfigData::decode(&mut buf).expect("valid init record") {
+        let config = &genesis.txs[0].config;
+        match curb_chain::codec::decode_all(config, ConfigData::read).expect("valid init record") {
             ConfigData::NewAssignment { groups } => {
                 for (i, g) in groups.iter().enumerate() {
                     let expected: Vec<usize> =

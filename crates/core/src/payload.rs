@@ -2,7 +2,10 @@
 //! two consensus payload types (transaction lists and blocks).
 
 use crate::ids::SwitchId;
-use curb_chain::{Block, BlockHeader, RequestKind, Transaction};
+use curb_chain::codec::{
+    decode_all, decode_block, encode_block, put_prefixed, ByteReader, CodecError,
+};
+use curb_chain::{Block, RequestKind, Transaction};
 use curb_consensus::{Payload, PayloadCodec};
 use curb_crypto::sha256::{digest_parts, Digest};
 use curb_crypto::{PublicKey, Signature};
@@ -52,36 +55,16 @@ pub struct RequestRecord {
     pub kind: ReqKind,
 }
 
-/// Reads a big-endian integer from the front of `buf`, advancing it.
-fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
-    if buf.len() < N {
-        return None;
-    }
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    head.try_into().ok()
-}
-
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    take::<8>(buf).map(u64::from_be_bytes)
-}
-
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    take::<4>(buf).map(u32::from_be_bytes)
-}
-
-fn take_u16(buf: &mut &[u8]) -> Option<u16> {
-    take::<2>(buf).map(u16::from_be_bytes)
-}
-
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
-    take::<1>(buf).map(|b| b[0])
-}
-
 impl RequestRecord {
     /// Canonical, self-delimiting bytes; also what the switch signs.
     pub fn signing_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_to(&mut out);
+        out
+    }
+
+    /// Appends [`Self::signing_bytes`] to `out`.
+    pub fn encode_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.key.switch.0 as u64).to_be_bytes());
         out.extend_from_slice(&self.key.seq.to_be_bytes());
         match &self.kind {
@@ -97,37 +80,31 @@ impl RequestRecord {
                 }
             }
         }
-        out
     }
 
-    /// Parses a record from the front of `buf`, advancing it.
-    pub fn decode(buf: &mut &[u8]) -> Option<RequestRecord> {
-        let switch = take_u64(buf)? as usize;
-        let seq = take_u64(buf)?;
-        let kind = match take_u8(buf)? {
-            0 => ReqKind::PktIn {
-                dst_host: take_u32(buf)?,
-            },
-            1 => {
-                let n = take_u32(buf)? as usize;
-                if n > 1_000_000 {
-                    return None;
-                }
-                let mut accused = Vec::with_capacity(n);
-                for _ in 0..n {
-                    accused.push(take_u64(buf)? as usize);
-                }
-                ReqKind::ReAss { accused }
-            }
-            _ => return None,
+    /// Reads a record written by [`Self::encode_to`] from the front of
+    /// `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<RequestRecord, CodecError> {
+        let key = RequestKey {
+            switch: SwitchId(r.u64()? as usize),
+            seq: r.u64()?,
         };
-        Some(RequestRecord {
-            key: RequestKey {
-                switch: SwitchId(switch),
-                seq,
-            },
-            kind,
-        })
+        let kind = match r.u8()? {
+            0 => ReqKind::PktIn { dst_host: r.u32()? },
+            1 => {
+                let n = r.count(8, "accused count")?;
+                let accused = (0..n).map(|_| r.u64().map(|a| a as usize));
+                ReqKind::ReAss {
+                    accused: accused.collect::<Result<_, _>>()?,
+                }
+            }
+            _ => return Err(CodecError::Corrupt("request kind")),
+        };
+        Ok(RequestRecord { key, kind })
     }
 }
 
@@ -180,6 +157,12 @@ impl ConfigData {
     /// Canonical byte encoding (recorded in blockchain transactions).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_to(&mut out);
+        out
+    }
+
+    /// Appends [`Self::encode`]'s bytes to `out`.
+    pub fn encode_to(&self, out: &mut Vec<u8>) {
         match self {
             ConfigData::FlowRules(rules) => {
                 out.push(0);
@@ -201,47 +184,38 @@ impl ConfigData {
                 }
             }
         }
-        out
     }
 
-    /// Parses a configuration from the front of `buf`, advancing it.
-    pub fn decode(buf: &mut &[u8]) -> Option<ConfigData> {
-        match take_u8(buf)? {
+    /// Reads a configuration written by [`Self::encode_to`] from the
+    /// front of `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<ConfigData, CodecError> {
+        match r.u8()? {
             0 => {
-                let n = take_u32(buf)? as usize;
-                if n > 1_000_000 {
-                    return None;
-                }
-                let mut rules = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rules.push(FlowRuleSpec {
-                        priority: take_u16(buf)?,
-                        dst_host: take_u32(buf)?,
-                        out_port: take_u16(buf)?,
-                    });
-                }
-                Some(ConfigData::FlowRules(rules))
+                let n = r.count(8, "flow-rule count")?;
+                let rules = (0..n).map(|_| {
+                    Ok::<_, CodecError>(FlowRuleSpec {
+                        priority: r.u16()?,
+                        dst_host: r.u32()?,
+                        out_port: r.u16()?,
+                    })
+                });
+                Ok(ConfigData::FlowRules(rules.collect::<Result<_, _>>()?))
             }
             1 => {
-                let n = take_u32(buf)? as usize;
-                if n > 1_000_000 {
-                    return None;
-                }
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = take_u32(buf)? as usize;
-                    if k > 1_000_000 {
-                        return None;
-                    }
-                    let mut g = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        g.push(take_u32(buf)? as usize);
-                    }
-                    groups.push(g);
-                }
-                Some(ConfigData::NewAssignment { groups })
+                let n = r.count(4, "group count")?;
+                let groups = (0..n).map(|_| {
+                    let k = r.count(4, "group size")?;
+                    (0..k).map(|_| r.u32().map(|j| j as usize)).collect()
+                });
+                Ok(ConfigData::NewAssignment {
+                    groups: groups.collect::<Result<_, _>>()?,
+                })
             }
-            _ => None,
+            _ => Err(CodecError::Corrupt("config tag")),
         }
     }
 
@@ -266,27 +240,29 @@ pub struct ProtoTx {
 impl ProtoTx {
     /// Canonical, self-delimiting bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.record.signing_bytes();
-        out.extend_from_slice(&(self.handled_by as u64).to_be_bytes());
-        out.extend_from_slice(&self.config.encode());
+        let mut out = Vec::new();
+        self.encode_to(&mut out);
         out
+    }
+
+    /// Appends [`Self::encode`]'s bytes to `out`.
+    pub fn encode_to(&self, out: &mut Vec<u8>) {
+        self.record.encode_to(out);
+        out.extend_from_slice(&(self.handled_by as u64).to_be_bytes());
+        self.config.encode_to(out);
     }
 
     /// Parses a protocol transaction back from [`ProtoTx::encode`]
     /// output.
     pub fn decode(bytes: &[u8]) -> Option<ProtoTx> {
-        let mut buf = bytes;
-        let record = RequestRecord::decode(&mut buf)?;
-        let handled_by = take_u64(&mut buf)? as usize;
-        let config = ConfigData::decode(&mut buf)?;
-        if !buf.is_empty() {
-            return None;
-        }
-        Some(ProtoTx {
-            record,
-            handled_by,
-            config,
+        decode_all(bytes, |r| {
+            Ok(ProtoTx {
+                record: RequestRecord::read(r)?,
+                handled_by: r.u64()? as usize,
+                config: ConfigData::read(r)?,
+            })
         })
+        .ok()
     }
 
     /// Converts to a blockchain transaction; the full protocol
@@ -353,135 +329,60 @@ impl Payload for BlockPayload {
     }
 }
 
-/// Cap on list lengths decoded from the wire, so a hostile count can
-/// never trigger a huge allocation before the bytes run out.
-const MAX_WIRE_ITEMS: u32 = 1 << 20;
+/// Smallest encoded [`ProtoTx`] in a [`TxListPayload`]: its length
+/// prefix, a PKT-IN record, `handled_by` and an empty rule list.
+const LISTED_TX_MIN_LEN: usize = 4 + 21 + 8 + 5;
 
-fn put_len_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn take_len_prefixed<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
-    let len = take_u32(buf)? as usize;
-    if buf.len() < len {
-        return None;
+impl TxListPayload {
+    /// Reads a list written by [`PayloadCodec::encode_payload`] from the
+    /// front of `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<TxListPayload, CodecError> {
+        let n = r.count(LISTED_TX_MIN_LEN, "transaction count")?;
+        let mut txs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let tx = ProtoTx::decode(r.len_prefixed()?);
+            txs.push(tx.ok_or(CodecError::Corrupt("transaction"))?);
+        }
+        Ok(TxListPayload(txs))
     }
-    let (head, rest) = buf.split_at(len);
-    *buf = rest;
-    Some(head)
 }
 
 impl PayloadCodec for TxListPayload {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u32).to_be_bytes());
         for tx in &self.0 {
-            put_len_prefixed(out, &tx.encode());
+            put_prefixed(out, |out| tx.encode_to(out));
         }
     }
 
     fn decode_payload(bytes: &[u8]) -> Option<Self> {
-        let mut buf = bytes;
-        let n = take_u32(&mut buf)?;
-        if n > MAX_WIRE_ITEMS {
-            return None;
-        }
-        let mut txs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            txs.push(ProtoTx::decode(take_len_prefixed(&mut buf)?)?);
-        }
-        if !buf.is_empty() {
-            return None;
-        }
-        Some(TxListPayload(txs))
+        decode_all(bytes, TxListPayload::read).ok()
     }
 }
 
-fn encode_chain_tx(out: &mut Vec<u8>, tx: &Transaction) {
-    out.push(match tx.kind {
-        RequestKind::PacketIn => 0,
-        RequestKind::Reassign => 1,
-        RequestKind::Init => 2,
-    });
-    out.extend_from_slice(&tx.switch.to_be_bytes());
-    out.extend_from_slice(&tx.controller.to_be_bytes());
-    put_len_prefixed(out, &tx.config);
-    match &tx.signature {
-        None => out.push(0),
-        Some((pk, sig)) => {
-            out.push(1);
-            out.extend_from_slice(&pk.to_bytes());
-            out.extend_from_slice(&sig.to_bytes());
+impl BlockPayload {
+    /// Reads a proposal written by [`PayloadCodec::encode_payload`] from
+    /// the front of `r`. Rejects a block whose body does not match its
+    /// header's Merkle commitment: a decoded proposal is always
+    /// internally consistent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on malformed input or a mismatched body.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<BlockPayload, CodecError> {
+        match r.u8()? {
+            0 => Ok(BlockPayload(None)),
+            1 => match decode_block(r)? {
+                block if block.body_matches_header() => Ok(BlockPayload(Some(block))),
+                _ => Err(CodecError::Corrupt("block body")),
+            },
+            _ => Err(CodecError::Corrupt("block payload tag")),
         }
     }
-}
-
-fn decode_chain_tx(buf: &mut &[u8]) -> Option<Transaction> {
-    let kind = match take_u8(buf)? {
-        0 => RequestKind::PacketIn,
-        1 => RequestKind::Reassign,
-        2 => RequestKind::Init,
-        _ => return None,
-    };
-    let switch = take_u64(buf)?;
-    let controller = take_u64(buf)?;
-    let config = take_len_prefixed(buf)?.to_vec();
-    let mut tx = Transaction::new(kind, switch, controller, config);
-    match take_u8(buf)? {
-        0 => {}
-        1 => {
-            let pk = take::<32>(buf)?;
-            let sig = take::<64>(buf)?;
-            tx.signature = Some((PublicKey::from_bytes(&pk), Signature::from_bytes(&sig)));
-        }
-        _ => return None,
-    }
-    Some(tx)
-}
-
-/// Appends a full block (header plus transaction body) to `out`. The
-/// inverse of [`decode_block`]; used by [`BlockPayload`]'s wire codec.
-pub fn encode_block(out: &mut Vec<u8>, block: &Block) {
-    out.extend_from_slice(&block.header.height.to_be_bytes());
-    out.extend_from_slice(&block.header.prev_hash.0);
-    out.extend_from_slice(&block.header.merkle_root.0);
-    out.extend_from_slice(&block.header.timestamp_ns.to_be_bytes());
-    out.extend_from_slice(&(block.txs.len() as u32).to_be_bytes());
-    for tx in &block.txs {
-        encode_chain_tx(out, tx);
-    }
-}
-
-/// Parses a block from the front of `buf`, advancing it. Returns
-/// `None` on malformed input or if the body does not match the
-/// header's Merkle commitment — a decoded block is always internally
-/// consistent.
-pub fn decode_block(buf: &mut &[u8]) -> Option<Block> {
-    let height = take_u64(buf)?;
-    let prev_hash = Digest(take::<32>(buf)?);
-    let merkle_root = Digest(take::<32>(buf)?);
-    let timestamp_ns = take_u64(buf)?;
-    let n = take_u32(buf)?;
-    if n > MAX_WIRE_ITEMS {
-        return None;
-    }
-    let mut txs = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        txs.push(decode_chain_tx(buf)?);
-    }
-    let block = Block {
-        header: BlockHeader {
-            height,
-            prev_hash,
-            merkle_root,
-            timestamp_ns,
-        },
-        txs,
-    };
-    if !block.body_matches_header() {
-        return None;
-    }
-    Some(block)
 }
 
 impl PayloadCodec for BlockPayload {
@@ -496,16 +397,7 @@ impl PayloadCodec for BlockPayload {
     }
 
     fn decode_payload(bytes: &[u8]) -> Option<Self> {
-        let mut buf = bytes;
-        let inner = match take_u8(&mut buf)? {
-            0 => None,
-            1 => Some(decode_block(&mut buf)?),
-            _ => return None,
-        };
-        if !buf.is_empty() {
-            return None;
-        }
-        Some(BlockPayload(inner))
+        decode_all(bytes, BlockPayload::read).ok()
     }
 }
 
@@ -697,9 +589,7 @@ mod tests {
         ];
         for c in configs {
             let bytes = c.encode();
-            let mut buf = bytes.as_slice();
-            assert_eq!(ConfigData::decode(&mut buf), Some(c));
-            assert!(buf.is_empty());
+            assert_eq!(decode_all(&bytes, ConfigData::read), Ok(c));
         }
     }
 

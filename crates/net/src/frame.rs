@@ -1,11 +1,12 @@
 //! Wire format for PBFT messages: a self-delimiting body codec plus
 //! length-prefixed framing for stream transports.
 //!
-//! The body codec reuses the primitive layout of the chain persistence
-//! codec (`curb_chain::codec`): big-endian integers, raw 32-byte
-//! digests and u32-length-prefixed byte strings. Every decoder is
-//! total — truncated frames, oversized length prefixes and garbage
-//! bytes produce a [`WireError`], never a panic.
+//! The body codec reads and writes through the node's one byte codec
+//! (`curb_chain::codec`): big-endian integers, raw 32-byte digests,
+//! u32-length-prefixed byte strings, and counts accepted only when the
+//! bytes left can hold that many items. Every decoder is total —
+//! truncated frames, oversized length prefixes and garbage bytes
+//! produce a [`WireError`], never a panic.
 //!
 //! ```text
 //! frame     := u32 body_len | body            (body_len <= max_frame)
@@ -33,7 +34,7 @@
 //!             | APP_LANE:u64 | app bytes       (opaque to this codec)
 //! ```
 
-use curb_chain::codec::{ByteReader, CodecError};
+use curb_chain::codec::{put_prefixed, ByteReader, CodecError};
 use curb_consensus::{CommitCert, CommittedEntry, PayloadCodec, PbftMsg};
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -69,9 +70,6 @@ impl From<CodecError> for WireError {
         match e {
             CodecError::Truncated => WireError::Truncated,
             CodecError::Corrupt(what) => WireError::Corrupt(what),
-            // BadMagic/Invalid only arise from whole-chain decoding,
-            // which the frame codec never performs.
-            CodecError::BadMagic | CodecError::Invalid(_) => WireError::Corrupt("codec"),
         }
     }
 }
@@ -86,8 +84,7 @@ const TAG_STATE_RESPONSE: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
 const TAG_SNAPSHOT_RESPONSE: u8 = 8;
 
-/// Cap on the `(seq, payload)` list length in view-change messages;
-/// prevents a hostile length prefix from pre-allocating gigabytes.
+/// Cap on the `(seq, payload)` list length in view-change messages.
 const MAX_CARRIED: u32 = 1 << 20;
 
 /// Cap on the committed entries one `STATE-RESPONSE` frame may claim;
@@ -100,36 +97,31 @@ pub const MAX_STATE_ENTRIES: u32 = 1 << 12;
 /// tiny, so any larger claim is hostile.
 pub const MAX_CERT_VOTERS: u32 = 1 << 10;
 
-fn put_payload<P: PayloadCodec>(out: &mut Vec<u8>, payload: &P) {
-    // Encode straight into `out` and back-patch the length prefix, so
-    // the hot send path allocates nothing per payload. The layout is
-    // identical to `put_bytes` (u32 length, then the bytes).
-    let start = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    payload.encode_payload(out);
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
-}
+/// Smallest `(seq, payload)` pair: the seq and an empty payload's length.
+const CARRIED_MIN_LEN: usize = 8 + 4;
+
+/// Smallest committed entry: seq, an empty payload and an empty
+/// certificate (digest and voter count).
+const ENTRY_MIN_LEN: usize = 8 + 4 + 32 + 4;
 
 fn get_payload<P: PayloadCodec>(r: &mut ByteReader<'_>) -> Result<P, WireError> {
-    let bytes = r.bytes()?;
-    P::decode_payload(&bytes).ok_or(WireError::BadPayload)
+    P::decode_payload(r.len_prefixed()?).ok_or(WireError::BadPayload)
 }
 
 fn put_carried<P: PayloadCodec>(out: &mut Vec<u8>, carried: &[(u64, P)]) {
     out.extend_from_slice(&(carried.len() as u32).to_be_bytes());
     for (seq, payload) in carried {
         out.extend_from_slice(&seq.to_be_bytes());
-        put_payload(out, payload);
+        put_prefixed(out, |out| payload.encode_payload(out));
     }
 }
 
 fn get_carried<P: PayloadCodec>(r: &mut ByteReader<'_>) -> Result<Vec<(u64, P)>, WireError> {
-    let count = r.u32()?;
-    if count > MAX_CARRIED {
+    let count = r.count(CARRIED_MIN_LEN, "carried-payload count")?;
+    if count > MAX_CARRIED as usize {
         return Err(WireError::Corrupt("carried-payload count"));
     }
-    let mut out = Vec::with_capacity(count.min(1024) as usize);
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = r.u64()?;
         out.push((seq, get_payload(r)?));
@@ -147,11 +139,11 @@ fn put_cert(out: &mut Vec<u8>, cert: &CommitCert) {
 
 fn get_cert(r: &mut ByteReader<'_>) -> Result<CommitCert, WireError> {
     let digest = r.digest()?;
-    let count = r.u32()?;
-    if count > MAX_CERT_VOTERS {
+    let count = r.count(8, "cert voter count")?;
+    if count > MAX_CERT_VOTERS as usize {
         return Err(WireError::Corrupt("cert voter count"));
     }
-    let mut voters = Vec::with_capacity(count as usize);
+    let mut voters = Vec::with_capacity(count);
     for _ in 0..count {
         voters.push(r.u64()? as usize);
     }
@@ -162,7 +154,7 @@ fn put_entries<P: PayloadCodec>(out: &mut Vec<u8>, entries: &[CommittedEntry<P>]
     out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
     for entry in entries {
         out.extend_from_slice(&entry.seq.to_be_bytes());
-        put_payload(out, &entry.payload);
+        put_prefixed(out, |out| entry.payload.encode_payload(out));
         put_cert(out, &entry.cert);
     }
 }
@@ -170,11 +162,11 @@ fn put_entries<P: PayloadCodec>(out: &mut Vec<u8>, entries: &[CommittedEntry<P>]
 fn get_entries<P: PayloadCodec>(
     r: &mut ByteReader<'_>,
 ) -> Result<Vec<CommittedEntry<P>>, WireError> {
-    let count = r.u32()?;
-    if count > MAX_STATE_ENTRIES {
+    let count = r.count(ENTRY_MIN_LEN, "state-entry count")?;
+    if count > MAX_STATE_ENTRIES as usize {
         return Err(WireError::Corrupt("state-entry count"));
     }
-    let mut out = Vec::with_capacity(count.min(1024) as usize);
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = r.u64()?;
         let payload = get_payload(r)?;
@@ -206,7 +198,7 @@ pub fn encode_msg_into<P: PayloadCodec>(msg: &PbftMsg<P>, out: &mut Vec<u8>) {
             out.extend_from_slice(&view.to_be_bytes());
             out.extend_from_slice(&seq.to_be_bytes());
             out.extend_from_slice(&digest.0);
-            put_payload(out, payload);
+            put_prefixed(out, |out| payload.encode_payload(out));
         }
         PbftMsg::Prepare { view, seq, digest } => {
             out.push(TAG_PREPARE);

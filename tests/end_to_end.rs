@@ -3,6 +3,7 @@
 //! committee, the blockchain, replies, and flow-table installation.
 
 #![allow(clippy::field_reassign_with_default)]
+use curb::chain::{Block, Blockchain};
 use curb::core::{ControllerId, CurbConfig, CurbNetwork, SwitchId};
 use curb::graph::internet2;
 
@@ -157,8 +158,12 @@ fn blockchain_persists_and_restores() {
     let mut net = CurbNetwork::new(&topo, CurbConfig::default()).expect("feasible");
     net.run_rounds(2);
     let chain = net.blockchain();
-    let bytes = chain.to_bytes();
-    let restored = curb::chain::Blockchain::from_bytes(&bytes).expect("valid file");
+    // Block by block, as the WAL stores and replays them.
+    let blocks = chain
+        .iter()
+        .map(|b| Block::from_bytes(&b.to_bytes()).expect("valid record"))
+        .collect();
+    let restored = Blockchain::from_blocks(blocks).expect("verifies");
     assert_eq!(restored.tip().hash(), chain.tip().hash());
     assert_eq!(restored.tx_count(), chain.tx_count());
 }

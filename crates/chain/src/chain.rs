@@ -4,9 +4,10 @@
 use crate::block::Block;
 use crate::merkle::merkle_root;
 use crate::transaction::{Transaction, TxId};
+use crate::window::SeqWindow;
 use core::fmt;
 use curb_crypto::sha256::Digest;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// Errors returned when appending or verifying blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,8 +25,15 @@ pub enum ChainError {
     MerkleMismatch,
     /// A transaction carries an invalid signature.
     BadSignature(TxId),
-    /// A transaction with this id is already on the chain.
-    DuplicateTx(TxId),
+    /// A sequenced transaction whose `(switch, seq)` is already on the
+    /// chain, earlier in the block, or [`crate::SEQ_WINDOW`] or more
+    /// below the switch's highest.
+    StaleSeq {
+        /// The requesting switch.
+        switch: u64,
+        /// The stale sequence number.
+        seq: u64,
+    },
 }
 
 impl fmt::Display for ChainError {
@@ -37,23 +45,27 @@ impl fmt::Display for ChainError {
             ChainError::BrokenLink => write!(f, "prev_hash does not match chain tip"),
             ChainError::MerkleMismatch => write!(f, "block body does not match merkle root"),
             ChainError::BadSignature(id) => write!(f, "invalid transaction signature: {id:?}"),
-            ChainError::DuplicateTx(id) => write!(f, "duplicate transaction: {id:?}"),
+            ChainError::StaleSeq { switch, seq } => {
+                write!(f, "stale sequence number {seq} of switch {switch}")
+            }
         }
     }
 }
 
 impl std::error::Error for ChainError {}
 
-/// The validating tip of a chain: the height, the tip hash and the id
-/// of every transaction accepted so far — everything needed to decide
-/// whether a block extends the chain, and nothing else.
+/// The validating tip of a chain: the height, the tip hash and one
+/// [`SeqWindow`] per switch — everything needed to decide whether a
+/// block extends the chain, and nothing else. Its memory grows with
+/// the switches, not with the transactions.
 ///
 /// This is the one validation path. [`Blockchain`] (which keeps every
 /// block, for the simulator and audits) and `curb-cluster`'s
 /// `ChainStore` (which keeps a short tail, with the WAL as the archive)
 /// both feed blocks through [`ChainHead::accept`], as does every
 /// re-verification of stored history, so the two stores cannot disagree
-/// on what a valid chain is.
+/// on what a valid chain is. A block proposer filters its transactions
+/// through the same rule with [`ChainHead::admission`].
 ///
 /// A fresh head has accepted nothing: the first block it accepts must
 /// be a genesis block (height 0, zero `prev_hash`).
@@ -63,7 +75,11 @@ pub struct ChainHead {
     len: u64,
     /// Hash of the last accepted block ([`Digest::ZERO`] before genesis).
     tip_hash: Digest,
-    tx_ids: HashSet<TxId>,
+    /// Transactions accepted so far, genesis included.
+    tx_count: usize,
+    /// The replay window of every switch with a sequenced transaction
+    /// on the chain.
+    windows: HashMap<u64, SeqWindow>,
 }
 
 impl ChainHead {
@@ -94,12 +110,16 @@ impl ChainHead {
 
     /// Number of transactions accepted so far (genesis included).
     pub fn tx_count(&self) -> usize {
-        self.tx_ids.len()
+        self.tx_count
     }
 
-    /// Whether a transaction with this id is anywhere on the chain.
-    pub fn contains_tx(&self, id: &TxId) -> bool {
-        self.tx_ids.contains(id)
+    /// Starts checking transactions for the next block against the
+    /// head, without changing it: see [`Admission`].
+    pub fn admission(&self) -> Admission<'_> {
+        Admission {
+            head: self,
+            touched: HashMap::new(),
+        }
     }
 
     /// Validates `block` against the tip and, on success, advances the
@@ -109,8 +129,7 @@ impl ChainHead {
     ///
     /// Returns a [`ChainError`] (and leaves the head unchanged) if the
     /// height or hash link is wrong, the Merkle commitment does not
-    /// match, any signature fails, or a transaction id is already on
-    /// the chain or repeated inside the block.
+    /// match, or any transaction fails [`Admission::admit`].
     pub fn accept(&mut self, block: &Block) -> Result<(), ChainError> {
         if block.header.height != self.len {
             return Err(ChainError::WrongHeight {
@@ -125,25 +144,61 @@ impl ChainHead {
         if merkle_root(&ids) != block.header.merkle_root {
             return Err(ChainError::MerkleMismatch);
         }
-        for (i, (tx, id)) in block.txs.iter().zip(&ids).enumerate() {
-            let rejected = if !tx.verify_signature() {
-                Some(ChainError::BadSignature(*id))
-            } else if !self.tx_ids.insert(*id) {
-                Some(ChainError::DuplicateTx(*id))
-            } else {
-                None
-            };
-            if let Some(e) = rejected {
-                // Everything before `i` was newly inserted by this call.
-                for inserted in &ids[..i] {
-                    self.tx_ids.remove(inserted);
-                }
-                return Err(e);
-            }
+        let mut admission = self.admission();
+        for tx in &block.txs {
+            admission.admit(tx)?;
         }
+        let touched = admission.touched;
+        self.windows.extend(touched);
+        self.tx_count += block.txs.len();
         self.len += 1;
         self.tip_hash = block.hash();
         Ok(())
+    }
+}
+
+/// The transaction rule of [`ChainHead::accept`], applied one
+/// transaction at a time: a block may carry a transaction only if its
+/// signature verifies and, when it is sequenced, its `(switch, seq)` is
+/// fresh in the switch's [`SeqWindow`] — counting the transactions
+/// admitted before it. The head itself is not changed; `accept` applies
+/// the windows once the whole block passes, and a block proposer uses
+/// the same checks to leave out what the chain would reject.
+#[derive(Debug)]
+pub struct Admission<'a> {
+    head: &'a ChainHead,
+    /// Windows of the switches admitted so far, as they will stand.
+    touched: HashMap<u64, SeqWindow>,
+}
+
+impl Admission<'_> {
+    /// Admits `tx` after the transactions admitted before it.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::BadSignature`] if its signature fails, and
+    /// [`ChainError::StaleSeq`] if it is sequenced and its sequence
+    /// number is not fresh; a rejected transaction is not recorded.
+    pub fn admit(&mut self, tx: &Transaction) -> Result<(), ChainError> {
+        if !tx.verify_signature() {
+            return Err(ChainError::BadSignature(tx.id()));
+        }
+        let Some(seq) = tx.seq else {
+            return Ok(());
+        };
+        let head = self.head;
+        let window = self
+            .touched
+            .entry(tx.switch)
+            .or_insert_with(|| head.windows.get(&tx.switch).cloned().unwrap_or_default());
+        if window.insert(seq) {
+            Ok(())
+        } else {
+            Err(ChainError::StaleSeq {
+                switch: tx.switch,
+                seq,
+            })
+        }
     }
 }
 
@@ -235,12 +290,8 @@ impl Blockchain {
     }
 
     /// Finds a transaction by id, returning it with its block height.
-    /// An audit query: a miss is one set lookup, a hit scans back from
-    /// the tip.
+    /// An audit query: scans back from the tip.
     pub fn find_tx(&self, id: &TxId) -> Option<(u64, &Transaction)> {
-        if !self.head.contains_tx(id) {
-            return None;
-        }
         self.blocks.iter().rev().find_map(|b| {
             let tx = b.txs.iter().find(|tx| tx.id() == *id)?;
             Some((b.header.height, tx))
@@ -310,9 +361,15 @@ fn replay(blocks: &[Block]) -> Result<ChainHead, ChainError> {
 mod tests {
     use super::*;
     use crate::transaction::RequestKind;
+    use crate::SEQ_WINDOW;
 
     fn tx(n: u64) -> Transaction {
         Transaction::new(RequestKind::PacketIn, n, 0, vec![n as u8])
+    }
+
+    /// Switch `switch`'s request `seq`, handled by controller 0.
+    fn seq_tx(switch: u64, seq: u64) -> Transaction {
+        Transaction::new(RequestKind::PacketIn, switch, 0, vec![seq as u8]).with_seq(seq)
     }
 
     fn chain_with(n_blocks: u64) -> Blockchain {
@@ -373,21 +430,107 @@ mod tests {
     #[test]
     fn duplicate_tx_rejected() {
         let mut c = chain_with(0);
-        c.append(Block::next(c.tip(), vec![tx(1)], 1)).unwrap();
-        let dup = Block::next(c.tip(), vec![tx(1)], 2);
-        assert!(matches!(c.append(dup), Err(ChainError::DuplicateTx(_))));
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 1)], 1))
+            .unwrap();
+        let dup = Block::next(c.tip(), vec![seq_tx(1, 1)], 2);
+        assert_eq!(
+            c.append(dup),
+            Err(ChainError::StaleSeq { switch: 1, seq: 1 })
+        );
+        // The same sequence number of another switch is its own.
+        c.append(Block::next(c.tip(), vec![seq_tx(2, 1)], 2))
+            .unwrap();
     }
 
     #[test]
     fn duplicate_inside_one_block_rejected_and_rolled_back() {
         let mut c = chain_with(0);
-        let twice = Block::next(c.tip(), vec![tx(1), tx(2), tx(2)], 1);
-        assert_eq!(c.append(twice), Err(ChainError::DuplicateTx(tx(2).id())));
+        let twice = Block::next(c.tip(), vec![seq_tx(1, 1), seq_tx(2, 1), seq_tx(2, 1)], 1);
+        assert_eq!(
+            c.append(twice),
+            Err(ChainError::StaleSeq { switch: 2, seq: 1 })
+        );
         assert_eq!(c.tx_count(), 1, "a rejected block records nothing");
-        // tx(1) and tx(2) were rolled back, so a valid block may carry them.
-        c.append(Block::next(c.tip(), vec![tx(1), tx(2)], 1))
+        // Neither window moved, so a valid block may carry both.
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 1), seq_tx(2, 1)], 1))
             .unwrap();
         assert_eq!(c.tx_count(), 3);
+    }
+
+    #[test]
+    fn a_request_commits_at_most_once_across_leaders() {
+        // Two leaders handled switch 1's request 5 (a rotation raced
+        // it): the transactions differ in `controller`, so in their
+        // ids, but not in `(switch, seq)`.
+        let first = seq_tx(1, 5);
+        let mut second = first.clone();
+        second.controller = 3;
+        assert_ne!(first.id(), second.id());
+        let mut c = chain_with(0);
+        c.append(Block::next(c.tip(), vec![first.clone()], 1))
+            .unwrap();
+        let stale = Err(ChainError::StaleSeq { switch: 1, seq: 5 });
+        assert_eq!(
+            c.append(Block::next(c.tip(), vec![second.clone()], 2)),
+            stale
+        );
+        let mut c = chain_with(0);
+        assert_eq!(
+            c.append(Block::next(c.tip(), vec![first, second], 1)),
+            stale
+        );
+    }
+
+    #[test]
+    fn window_accepts_reordering_and_rejects_far_below_the_top() {
+        let mut c = chain_with(0);
+        let top = 10 + SEQ_WINDOW;
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 10), seq_tx(1, top)], 1))
+            .unwrap();
+        // Inside the window and unseen: a reordered request commits.
+        c.append(Block::next(c.tip(), vec![seq_tx(1, top - 1)], 2))
+            .unwrap();
+        // A full window below the top: stale, seen or not.
+        for seq in [9, 10] {
+            let block = Block::next(c.tip(), vec![seq_tx(1, seq)], 3);
+            assert_eq!(
+                c.append(block),
+                Err(ChainError::StaleSeq { switch: 1, seq })
+            );
+        }
+        assert_eq!(c.head.windows.len(), 1);
+    }
+
+    #[test]
+    fn unsequenced_txs_carry_no_replay_check() {
+        let mut c = chain_with(0);
+        for t in 1..=2 {
+            c.append(Block::next(c.tip(), vec![tx(1), tx(1)], t))
+                .unwrap();
+        }
+        assert_eq!(c.tx_count(), 5);
+        assert!(c.head.windows.is_empty());
+    }
+
+    #[test]
+    fn admission_is_the_rule_accept_runs() {
+        let mut c = chain_with(0);
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 1)], 1))
+            .unwrap();
+        let queue = [seq_tx(1, 2), seq_tx(1, 1), seq_tx(2, 1), seq_tx(1, 2)];
+        let mut admission = c.head.admission();
+        let kept: Vec<Transaction> = queue
+            .iter()
+            .filter(|t| admission.admit(t).is_ok())
+            .cloned()
+            .collect();
+        assert_eq!(kept, [seq_tx(1, 2), seq_tx(2, 1)]);
+        // Admitting changed nothing on the head; the kept ones append.
+        assert_eq!(c.head.windows.len(), 1);
+        c.append(Block::next(c.tip(), kept, 2)).unwrap();
+        for t in queue {
+            assert!(c.head.admission().admit(&t).is_err());
+        }
     }
 
     #[test]
@@ -407,7 +550,7 @@ mod tests {
         head.accept(&child).unwrap();
         assert_eq!((head.len(), head.height()), (2, 1));
         assert_eq!(head.tip_hash(), child.hash());
-        assert!(head.contains_tx(&tx(1).id()));
+        assert_eq!(head.tx_count(), 2);
     }
 
     #[test]
@@ -461,12 +604,12 @@ mod tests {
     #[test]
     fn per_switch_audit_trail() {
         let mut c = Blockchain::with_genesis(b"init");
-        c.append(Block::next(c.tip(), vec![tx(1), tx(2)], 1))
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 1), seq_tx(2, 1)], 1))
             .unwrap();
-        c.append(Block::next(c.tip(), vec![tx(1)], 2)).unwrap_err(); // duplicate
-        let mut t3 = tx(1);
-        t3.config = vec![9]; // same switch, new content
-        c.append(Block::next(c.tip(), vec![t3], 2)).unwrap();
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 1)], 2))
+            .unwrap_err(); // a replay
+        c.append(Block::next(c.tip(), vec![seq_tx(1, 2)], 2))
+            .unwrap(); // same switch, its next request
         let trail = c.txs_for_switch(1);
         assert_eq!(trail.len(), 2);
         assert_eq!(trail[0].0, 1);
@@ -495,7 +638,7 @@ mod tests {
             ChainError::BrokenLink,
             ChainError::MerkleMismatch,
             ChainError::BadSignature(Digest::ZERO),
-            ChainError::DuplicateTx(Digest::ZERO),
+            ChainError::StaleSeq { switch: 1, seq: 2 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -14,13 +14,13 @@
 //! small multiple of its own length.
 
 use crate::block::{Block, BlockHeader};
-use crate::transaction::{RequestKind, Transaction};
+use crate::transaction::{RequestKind, Transaction, SEQUENCED_FLAG};
 use core::fmt;
 use curb_crypto::sha256::Digest;
 use curb_crypto::{PublicKey, Signature};
 
 /// Smallest encoded transaction: kind, switch, controller, an empty
-/// config and the signature flag.
+/// config and the signature flag (an unsequenced one).
 const TX_MIN_LEN: usize = 1 + 8 + 8 + 4 + 1;
 
 /// Errors raised when decoding bytes.
@@ -193,13 +193,15 @@ pub fn put_prefixed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
+/// A transaction: kind byte (bit [`SEQUENCED_FLAG`] set when a `u64`
+/// sequence number follows the switch), switch, [seq,] controller,
+/// config, then the signature flag and signature.
 fn encode_tx(out: &mut Vec<u8>, tx: &Transaction) {
-    out.push(match tx.kind {
-        RequestKind::PacketIn => 0,
-        RequestKind::Reassign => 1,
-        RequestKind::Init => 2,
-    });
+    out.push(tx.kind_byte());
     out.extend_from_slice(&tx.switch.to_be_bytes());
+    if let Some(seq) = tx.seq {
+        out.extend_from_slice(&seq.to_be_bytes());
+    }
     out.extend_from_slice(&tx.controller.to_be_bytes());
     put_bytes(out, &tx.config);
     match &tx.signature {
@@ -213,16 +215,21 @@ fn encode_tx(out: &mut Vec<u8>, tx: &Transaction) {
 }
 
 fn decode_tx(r: &mut ByteReader<'_>) -> Result<Transaction, CodecError> {
-    let kind = match r.u8()? {
-        0 => RequestKind::PacketIn,
-        1 => RequestKind::Reassign,
-        2 => RequestKind::Init,
-        _ => return Err(CodecError::Corrupt("transaction kind")),
-    };
+    let byte = r.u8()?;
+    let kind = RequestKind::from_tag(byte & !SEQUENCED_FLAG)
+        .ok_or(CodecError::Corrupt("transaction kind"))?;
     let switch = r.u64()?;
+    let seq = if byte & SEQUENCED_FLAG != 0 {
+        Some(r.u64()?)
+    } else {
+        None
+    };
     let controller = r.u64()?;
     let config = r.len_prefixed()?.to_vec();
-    let mut tx = Transaction::new(kind, switch, controller, config);
+    let mut tx = Transaction {
+        seq,
+        ..Transaction::new(kind, switch, controller, config)
+    };
     match r.u8()? {
         0 => {}
         1 => {
@@ -299,16 +306,18 @@ mod tests {
     use curb_crypto::rng::DetRng;
     use curb_crypto::KeyPair;
 
-    /// A block holding one signed and one unsigned transaction.
+    /// A block holding a signed and an unsigned transaction, and a
+    /// sequenced one.
     fn sample_block() -> Block {
         let mut rng = DetRng::new(4);
         let keys = KeyPair::generate(&mut rng);
         let mut signed = Transaction::new(RequestKind::PacketIn, 3, 1, vec![1, 2, 3]);
         signed.sign(&keys, &mut rng);
         let unsigned = Transaction::new(RequestKind::Reassign, 4, 2, vec![9]);
+        let sequenced = Transaction::new(RequestKind::PacketIn, 4, 2, vec![8]).with_seq(7);
         Block::next(
             &Block::genesis(b"assignment v0"),
-            vec![signed, unsigned],
+            vec![signed, unsigned, sequenced],
             100,
         )
     }
@@ -322,6 +331,7 @@ mod tests {
         // The signed transaction survives with its signature.
         assert!(restored.txs[0].signature.is_some());
         assert!(restored.txs[0].verify_signature());
+        assert_eq!(restored.txs[2].seq, Some(7));
         let mut chain = Blockchain::with_genesis(b"assignment v0");
         chain.append(restored).unwrap();
         chain.verify().unwrap();

@@ -10,6 +10,9 @@
 //! The chain gives Curb its verifiability and traceability properties:
 //! blocks are hash-linked, transaction sets are Merkle-hashed, and any
 //! single-bit mutation of history is detected by [`Blockchain::verify`].
+//! A transaction that records its switch's sequence number is accepted
+//! once per `(switch, seq)`: [`ChainHead`] keeps one [`SeqWindow`] per
+//! switch, not the id of every transaction.
 //!
 //! Blocks persist in the write-ahead log ([`wal`]), one
 //! [`Block::to_bytes`] record per block. The WAL is the chain's
@@ -39,10 +42,12 @@ pub mod codec;
 mod merkle;
 mod transaction;
 pub mod wal;
+mod window;
 
 pub use block::{Block, BlockHeader};
-pub use chain::{Blockchain, ChainError, ChainHead};
+pub use chain::{Admission, Blockchain, ChainError, ChainHead};
 pub use codec::{put_bytes, ByteReader, CodecError};
 pub use merkle::merkle_root;
 pub use transaction::{RequestKind, Transaction, TxId};
 pub use wal::{Wal, WalConfig, WalRecord, WalStats};
+pub use window::{SeqWindow, SEQ_WINDOW};

@@ -20,11 +20,23 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    fn tag(&self) -> u8 {
+    /// The kind's byte in [`Transaction::signing_bytes`] and the
+    /// encoding; [`SEQUENCED_FLAG`] is or-ed in for a sequenced tx.
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             RequestKind::PacketIn => 0,
             RequestKind::Reassign => 1,
             RequestKind::Init => 2,
+        }
+    }
+
+    /// The kind whose [`RequestKind::tag`] is `tag`.
+    pub(crate) fn from_tag(tag: u8) -> Option<RequestKind> {
+        match tag {
+            0 => Some(RequestKind::PacketIn),
+            1 => Some(RequestKind::Reassign),
+            2 => Some(RequestKind::Init),
+            _ => None,
         }
     }
 }
@@ -40,6 +52,11 @@ impl fmt::Display for RequestKind {
     }
 }
 
+/// Bit of the kind byte that marks a sequenced transaction, whose
+/// `u64` sequence number follows the switch id. Unsequenced bytes are
+/// those of a format that had no sequence number at all.
+pub(crate) const SEQUENCED_FLAG: u8 = 0x80;
+
 /// One recorded operation: `⟨TX, reqMsg, s, c, config⟩` in the paper's
 /// notation — the request kind, the requesting switch, the handling
 /// controller, and the computed configuration payload.
@@ -49,6 +66,11 @@ pub struct Transaction {
     pub kind: RequestKind,
     /// Requesting switch (protocol-level id).
     pub switch: u64,
+    /// The switch's sequence number for the request, when the
+    /// transaction records one. The chain accepts a sequenced
+    /// transaction once per `(switch, seq)` (see [`crate::SeqWindow`]);
+    /// an unsequenced one carries no replay check.
+    pub seq: Option<u64>,
     /// Handling controller (protocol-level id).
     pub controller: u64,
     /// Serialized configuration (flow entries or a new assignment).
@@ -58,23 +80,45 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Creates an unsigned transaction.
+    /// Creates an unsigned, unsequenced transaction.
     pub fn new(kind: RequestKind, switch: u64, controller: u64, config: Vec<u8>) -> Self {
         Transaction {
             kind,
             switch,
+            seq: None,
             controller,
             config,
             signature: None,
         }
     }
 
+    /// The same transaction, recording the switch's sequence number
+    /// `seq` for its request.
+    pub fn with_seq(self, seq: u64) -> Self {
+        Transaction {
+            seq: Some(seq),
+            ..self
+        }
+    }
+
+    /// The kind byte of the encoding: the kind's tag, with
+    /// [`SEQUENCED_FLAG`] set when the transaction is sequenced.
+    pub(crate) fn kind_byte(&self) -> u8 {
+        match self.seq {
+            Some(_) => self.kind.tag() | SEQUENCED_FLAG,
+            None => self.kind.tag(),
+        }
+    }
+
     /// Canonical byte encoding of the signed content (everything except
-    /// the signature itself).
+    /// the signature itself), sequence number included.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17 + self.config.len());
-        out.push(self.kind.tag());
+        let mut out = Vec::with_capacity(25 + self.config.len());
+        out.push(self.kind_byte());
         out.extend_from_slice(&self.switch.to_be_bytes());
+        if let Some(seq) = self.seq {
+            out.extend_from_slice(&seq.to_be_bytes());
+        }
         out.extend_from_slice(&self.controller.to_be_bytes());
         out.extend_from_slice(&self.config);
         out
@@ -102,7 +146,10 @@ impl Transaction {
         }
     }
 
-    /// Approximate wire size in bytes.
+    /// Approximate wire size in bytes: the simulator's bandwidth model.
+    /// It leaves out the 8-byte sequence number, as it leaves out the
+    /// length prefix and flags, so the simulated figures do not depend
+    /// on whether a transaction is sequenced.
     pub fn wire_size(&self) -> usize {
         17 + self.config.len() + if self.signature.is_some() { 96 } else { 0 }
     }
@@ -129,6 +176,9 @@ mod tests {
         let mut other = base.clone();
         other.config = vec![9];
         assert_ne!(base.id(), other.id());
+        let sequenced = base.clone().with_seq(1);
+        assert_ne!(base.id(), sequenced.id());
+        assert_ne!(sequenced.id(), base.clone().with_seq(2).id());
     }
 
     #[test]

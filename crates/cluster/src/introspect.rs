@@ -8,10 +8,13 @@
 //!
 //! * `health` — one flat-JSON line with the node's live counters
 //!   (chain height, epoch, blocks appended, proposals made, WAL
-//!   records/bytes/fsyncs and the blocks replayed from it at boot) and
-//!   the sizes of what grows with rounds served: `resident_blocks` and
-//!   `tx_ids` of the chain store, `seen_keys` and `round_ctxs` of the
-//!   node (the `chain.*` / `node.*` gauges of `metrics`).
+//!   records/bytes/fsyncs and the blocks replayed from it at boot), the
+//!   sizes of what grows with rounds served — `resident_blocks` of the
+//!   chain store and `round_ctxs` of the node (the `chain.*` /
+//!   `node.*` gauges of `metrics`) — and `stale_txs`, the queued
+//!   transactions the final leader left out of a block because the
+//!   chain would reject them (0 on a healthy run). Replay protection
+//!   is one fixed-size window per switch, so it has no size to report.
 //! * `metrics` — one flat-JSON line: the node's metric [`Registry`]
 //!   rendered by [`Registry::to_json`] (counters, gauges, histogram
 //!   `p50`/`p99` summaries), prefixed with the node's name.
@@ -140,7 +143,7 @@ fn respond(command: &str, state: &IntrospectState) -> String {
             format!(
                 "{{\"node\":\"{}\",\"height\":{},\"epoch\":{},\"blocks\":{},\"proposed\":{},\
                  \"wal_records\":{},\"wal_bytes\":{},\"wal_fsyncs\":{},\"restored\":{},\
-                 \"resident_blocks\":{},\"tx_ids\":{},\"seen_keys\":{},\"round_ctxs\":{}}}\n",
+                 \"resident_blocks\":{},\"round_ctxs\":{},\"stale_txs\":{}}}\n",
                 state.node,
                 state.probe.height.load(Ordering::Relaxed),
                 state.probe.epoch.load(Ordering::Relaxed),
@@ -151,9 +154,8 @@ fn respond(command: &str, state: &IntrospectState) -> String {
                 state.probe.wal_fsyncs.load(Ordering::Relaxed),
                 state.probe.restored.load(Ordering::Relaxed),
                 gauge("chain.resident_blocks"),
-                gauge("chain.tx_ids"),
-                gauge("node.seen_keys"),
                 gauge("node.round_ctxs"),
+                state.registry.counter("node.stale_txs").get(),
             )
         }
         "metrics" => {
@@ -198,7 +200,8 @@ mod tests {
         let registry = Registry::new();
         registry.counter("runner.commits").add(7);
         registry.gauge("net.queue_depth").add(3);
-        registry.gauge("chain.tx_ids").set(40);
+        registry.gauge("node.round_ctxs").set(40);
+        registry.counter("node.stale_txs").add(2);
         let probe = Arc::new(NodeProbe::default());
         probe.height.store(12, Ordering::Relaxed);
         probe.epoch.store(2, Ordering::Relaxed);
@@ -225,7 +228,8 @@ mod tests {
         assert_eq!(obj.get("wal_records"), Some(&JsonValue::Number(12.0)));
         assert_eq!(obj.get("wal_fsyncs"), Some(&JsonValue::Number(3.0)));
         assert_eq!(obj.get("restored"), Some(&JsonValue::Number(0.0)));
-        assert_eq!(obj.get("tx_ids"), Some(&JsonValue::Number(40.0)));
+        assert_eq!(obj.get("round_ctxs"), Some(&JsonValue::Number(40.0)));
+        assert_eq!(obj.get("stale_txs"), Some(&JsonValue::Number(2.0)));
         assert_eq!(obj.get("resident_blocks"), Some(&JsonValue::Number(0.0)));
     }
 

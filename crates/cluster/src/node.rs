@@ -35,9 +35,10 @@
 
 use crate::payload::CtrlPayload;
 use crate::persist::{ChainStore, PersistConfig};
+use crate::sagent::wall_clock_us;
 use crate::wire::{ClusterMsg, SbMsg, ANNOUNCE_SEQ_BIT};
 use curb_assign::{solve, Assignment};
-use curb_chain::Block;
+use curb_chain::{Block, ChainHead, SeqWindow, Transaction};
 use curb_consensus::{Batch, Replica};
 use curb_core::{BlockPayload, FlowRuleSpec};
 use curb_core::{
@@ -225,42 +226,54 @@ enum SbEvent {
 /// far more than are ever in flight; the oldest is forgotten first.
 const ROUND_CTXS_MAX: usize = 1 << 14;
 
-/// Out-of-order sequence numbers [`SeenSeqs`] remembers per switch
-/// before it gives up on the gap below them. Far above the in-flight
-/// window of an honest agent, so only rotation hand-overs and hostile
-/// agents ever reach it.
-const SEEN_OUT_OF_ORDER: usize = 1024;
+/// How far a request's sequence number may run ahead of a node's wall
+/// clock, in µs. Agents number from their host's clock at start-up and
+/// issue fewer than one request per µs, so an honest sequence number
+/// is at most that clock; the slack covers the skew between hosts.
+/// The southbound `Hello` is not authenticated: without this bound one
+/// forged request with a sequence number near `u64::MAX` would lift
+/// its switch's window above every request the real agent will send.
+const SEQ_CLOCK_SLACK_US: u64 = 10_000_000;
 
-/// At-most-once request intake for one switch. Agent sequence numbers
-/// are monotone, so everything at or below `low` has been seen; the
-/// few that arrive ahead of a gap (the direct and the relayed copy of
-/// a request race each other) wait in `ahead`, which is capped: a
-/// hostile agent sending wild sequence numbers only raises its own
-/// low-water mark.
-#[derive(Debug, Default)]
-struct SeenSeqs {
-    low: u64,
-    ahead: BTreeSet<u64>,
+/// The highest sequence number a node takes from any switch now.
+fn seq_ceiling() -> u64 {
+    wall_clock_us().saturating_add(SEQ_CLOCK_SLACK_US)
 }
 
-impl SeenSeqs {
-    /// Records `seq`; `false` if it was already seen (or is below a
-    /// gap the cap closed).
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.low || !self.ahead.insert(seq) {
-            return false;
-        }
-        if self.ahead.len() > SEEN_OUT_OF_ORDER {
-            self.low = self.ahead.pop_first().expect("non-empty above the cap");
-        }
-        while let Some(next) = self.low.checked_add(1) {
-            if !self.ahead.remove(&next) {
-                break;
+/// Intake's at-most-once rule: a request is taken if its sequence
+/// number is at most `ceiling` (see [`seq_ceiling`]) and fresh in its
+/// switch's window. One from the future leaves the window as it was.
+fn fresh_at_intake(seen: &mut SeqWindow, seq: u64, ceiling: u64) -> bool {
+    seq <= ceiling && seen.insert(seq)
+}
+
+/// Splits the final leader's queue into the chain transactions of the
+/// next block, by request key, and the keys of the requests left out:
+/// those the chain would reject — committed already, say by the leader
+/// of a retired epoch, or queued twice — and those sequenced above
+/// `ceiling` (see [`seq_ceiling`]). The split runs the chain's own
+/// admission rule against `head`, so one stale request never sinks a
+/// block and every round in it.
+fn block_txs(
+    head: &ChainHead,
+    queue: Vec<ProtoTx>,
+    ceiling: u64,
+) -> (Vec<(RequestKey, Transaction)>, Vec<RequestKey>) {
+    let mut admission = head.admission();
+    let mut stale = Vec::new();
+    let fresh = queue
+        .into_iter()
+        .filter_map(|t| {
+            let tx = t.to_chain_tx();
+            if t.record.key.seq <= ceiling && admission.admit(&tx).is_ok() {
+                Some((t.record.key, tx))
+            } else {
+                stale.push(t.record.key);
+                None
             }
-            self.low = next;
-        }
-        true
-    }
+        })
+        .collect();
+    (fresh, stale)
 }
 
 /// A proposed block's tracing state on the final leader: hash, propose
@@ -278,8 +291,8 @@ pub struct ControllerNode {
     draining: Vec<(Instant, EpochRuntime)>,
     removed: Vec<bool>,
     /// Requests already proposed (as leader) or relayed (as follower),
-    /// by switch — at-most-once intake.
-    seen: Vec<SeenSeqs>,
+    /// by switch — at-most-once intake, by the chain's own window.
+    seen: Vec<SeqWindow>,
     /// Group-leader spans: (propose time, minted context) per key.
     intra_start: HashMap<RequestKey, (u64, TraceCtx)>,
     /// Trace contexts of rounds this node serves, kept so the eventual
@@ -374,7 +387,7 @@ impl ControllerNode {
                 // trace files are split on this label.
                 curb_telemetry::set_thread_node(format!("ctrl{id}"));
                 let removed = epoch.removed.clone();
-                let seen = std::iter::repeat_with(SeenSeqs::default)
+                let seen = std::iter::repeat_with(SeqWindow::default)
                     .take(shared.plan.n_switches)
                     .collect();
                 let active =
@@ -497,13 +510,13 @@ impl ControllerNode {
             // stale controller list still overlaps the current group
             // yet misses its leader. Hand it to the controller that
             // can propose it; `seen` caps the relay at once per key.
-            if self.seen[switch.0].insert(record.key.seq) {
+            if fresh_at_intake(&mut self.seen[switch.0], record.key.seq, seq_ceiling()) {
                 self.mux
                     .send_app(leader, &ClusterMsg::Forward { record, ctx }.encode());
             }
             return;
         }
-        if !self.seen[switch.0].insert(record.key.seq) {
+        if !fresh_at_intake(&mut self.seen[switch.0], record.key.seq, seq_ceiling()) {
             return;
         }
         let Some(config) = self.compute_config(&record) else {
@@ -693,7 +706,10 @@ impl ControllerNode {
 
     /// Step 4a: the final-committee leader cuts the next block from
     /// the queued transaction lists — one block in flight at a time so
-    /// blocks always extend the tip they were proposed against.
+    /// blocks always extend the tip they were proposed against. A
+    /// request the chain would reject, or one sequenced from the
+    /// future, is left out (see [`block_txs`]) and counted in
+    /// `node.stale_txs`.
     fn try_propose_block(&mut self) {
         if self.block_in_flight
             || self.pending_txs.is_empty()
@@ -704,16 +720,27 @@ impl ControllerNode {
         let Some(runner) = &self.active.finalr else {
             return;
         };
-        let pending: Vec<ProtoTx> = self.pending_txs.drain(..).collect();
-        let mut rounds = Vec::with_capacity(pending.len());
-        let mut txs = Vec::with_capacity(pending.len());
-        for t in pending {
-            let key = t.record.key;
+        let queue = std::mem::take(&mut self.pending_txs);
+        let (fresh, stale) = block_txs(self.chain.head(), queue, seq_ceiling());
+        for key in &stale {
+            self.pending_keys.remove(key);
+            self.pending_ctxs.remove(key);
+        }
+        if !stale.is_empty() {
+            let counter = self.cfg.registry.counter("node.stale_txs");
+            counter.add(stale.len() as u64);
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let mut rounds = Vec::with_capacity(fresh.len());
+        let mut txs = Vec::with_capacity(fresh.len());
+        for (key, tx) in fresh {
             let ctx = self.pending_ctxs.remove(&key).unwrap_or(TraceCtx::NONE);
             if ctx.is_some() {
                 rounds.push((key, ctx));
             }
-            txs.push(t.to_chain_tx());
+            txs.push(tx);
         }
         let block = Block::next(self.chain.tip(), txs, now_nanos());
         self.final_start = Some((block.hash().0, now_nanos(), rounds));
@@ -844,16 +871,11 @@ impl ControllerNode {
 
     /// Publishes what grows with the rounds this node has served into
     /// its registry (and so its `health` line), once per block: block
-    /// bodies and transaction ids the chain store holds, out-of-order
-    /// request seqs held for dedup, contexts of rounds awaiting a REPLY.
+    /// bodies the chain store holds and contexts of rounds awaiting a
+    /// REPLY.
     fn publish_gauges(&self) {
         let gauge = |name, v: usize| self.cfg.registry.gauge(name).set(v as i64);
         gauge("chain.resident_blocks", self.chain.resident_blocks());
-        gauge("chain.tx_ids", self.chain.tx_ids());
-        gauge(
-            "node.seen_keys",
-            self.seen.iter().map(|s| s.ahead.len()).sum(),
-        );
         gauge("node.round_ctxs", self.round_ctxs.len());
     }
 
@@ -1249,41 +1271,77 @@ fn southbound_reader(
 mod tests {
     use super::*;
 
-    #[test]
-    fn seen_seqs_admit_each_sequence_number_once() {
-        let mut seen = SeenSeqs::default();
-        // In order, a duplicate, then the relayed copies overtaking.
-        assert!(seen.insert(1));
-        assert!(!seen.insert(1));
-        assert!(seen.insert(4));
-        assert!(seen.insert(3));
-        assert!(!seen.insert(4));
-        assert_eq!((seen.low, seen.ahead.len()), (1, 2));
-        assert!(seen.insert(2));
-        assert_eq!((seen.low, seen.ahead.len()), (4, 0), "the gap closed");
-        assert!(!seen.insert(2));
+    fn request(switch: usize, seq: u64, handled_by: usize) -> ProtoTx {
+        ProtoTx {
+            record: RequestRecord {
+                key: RequestKey {
+                    switch: SwitchId(switch),
+                    seq,
+                },
+                kind: ReqKind::PktIn { dst_host: 1 },
+            },
+            handled_by,
+            config: ConfigData::FlowRules(Vec::new()),
+        }
     }
 
     #[test]
-    fn seen_seqs_stay_bounded_under_wild_sequence_numbers() {
-        let mut seen = SeenSeqs::default();
-        // A hostile agent: huge and sparse — nothing joins up.
-        for i in 1..10 * SEEN_OUT_OF_ORDER as u64 {
-            seen.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1);
-            assert!(seen.ahead.len() <= SEEN_OUT_OF_ORDER);
-        }
-        assert!(seen.insert(u64::MAX));
-        assert!(!seen.insert(u64::MAX));
-        // Everything below the raised mark now counts as seen.
-        assert!(!seen.insert(5));
+    fn a_block_cut_from_a_queue_with_a_replayed_request_commits_the_others() {
+        let mut chain = ChainStore::ephemeral(b"genesis");
+        let committed = request(0, 5, 1);
+        let block = Block::next(chain.tip(), vec![committed.to_chain_tx()], 1);
+        chain.append(block).unwrap();
+        // The same request again, from the leader of another epoch.
+        let replayed = request(0, 5, 2);
+        let queue = vec![request(0, 6, 1), replayed, request(1, 5, 1)];
+        let whole: Vec<Transaction> = queue.iter().map(ProtoTx::to_chain_tx).collect();
+        assert!(
+            chain
+                .head()
+                .clone()
+                .accept(&Block::next(chain.tip(), whole, 2))
+                .is_err(),
+            "uncut, the replay sinks the block"
+        );
 
-        // A new leader first hears of a switch mid-stream: the run it
-        // sees is remembered exactly until the cap closes the gap below.
-        let mut seen = SeenSeqs::default();
-        for seq in 5_000..5_000 + 2 * SEEN_OUT_OF_ORDER as u64 {
-            assert!(seen.insert(seq));
-            assert!(!seen.insert(seq));
-        }
-        assert!(seen.ahead.len() <= SEEN_OUT_OF_ORDER);
+        let (fresh, stale) = block_txs(chain.head(), queue, u64::MAX);
+        assert_eq!(stale, [committed.record.key]);
+        let keys: Vec<RequestKey> = fresh.iter().map(|(key, _)| *key).collect();
+        assert_eq!(
+            keys,
+            [request(0, 6, 1).record.key, request(1, 5, 1).record.key]
+        );
+        let txs = fresh.into_iter().map(|(_, tx)| tx).collect();
+        chain.append(Block::next(chain.tip(), txs, 2)).unwrap();
+        assert_eq!(chain.tx_count(), 4);
+    }
+
+    #[test]
+    fn a_sequence_number_from_the_future_neither_commits_nor_blocks_the_switch() {
+        // Switch 0's agent started at `now`; a forged request for it
+        // claims `u64::MAX`.
+        let now = wall_clock_us();
+        let ceiling = now + SEQ_CLOCK_SLACK_US;
+        assert!(seq_ceiling() >= ceiling);
+        let forged = request(0, u64::MAX, 1);
+
+        let mut seen = SeqWindow::default();
+        assert!(!fresh_at_intake(&mut seen, u64::MAX, ceiling));
+        assert!(!fresh_at_intake(&mut seen, ceiling + 1, ceiling));
+        assert!(fresh_at_intake(&mut seen, now, ceiling));
+        assert!(fresh_at_intake(&mut seen, now + 1, ceiling));
+
+        let mut chain = ChainStore::ephemeral(b"genesis");
+        let queue = vec![forged.clone(), request(0, now, 1)];
+        let (fresh, stale) = block_txs(chain.head(), queue, ceiling);
+        assert_eq!(stale, [forged.record.key]);
+        let txs = fresh.into_iter().map(|(_, tx)| tx).collect();
+        chain.append(Block::next(chain.tip(), txs, 1)).unwrap();
+        // The agent's next request still commits.
+        let (fresh, stale) = block_txs(chain.head(), vec![request(0, now + 1, 1)], ceiling);
+        assert!(stale.is_empty());
+        let txs = fresh.into_iter().map(|(_, tx)| tx).collect();
+        chain.append(Block::next(chain.tip(), txs, 2)).unwrap();
+        assert_eq!(chain.tx_count(), 3);
     }
 }

@@ -2,10 +2,11 @@
 //! tail of recent blocks in memory and, when durable, the full ledger
 //! on disk.
 //!
-//! The round path reads only the tip (to link the next block) and the
-//! set of transaction ids (to reject a replayed transaction anywhere in
-//! history), so memory is [`TAIL_BLOCKS`] block bodies plus one 32-byte
-//! id per committed transaction, not the chain.
+//! The round path reads only the tip (to link the next block) and one
+//! replay window per switch (to reject a replayed request, see
+//! [`curb_chain::SeqWindow`]), so memory is [`TAIL_BLOCKS`] block
+//! bodies plus 136 bytes per switch — not the chain, and nothing per
+//! transaction.
 //!
 //! A durable store's directory holds WAL segments and nothing else:
 //! `wal-{seq:016x}.seg`, record `h` = block `h`; genesis is a function
@@ -17,7 +18,7 @@
 //! memory at a time; [`ChainStore::verify`] does the same to a live one.
 //!
 //! An *ephemeral* store has no archive: it is a pruned node that
-//! forgets every block body below the tail and keeps only the ids.
+//! forgets every block body below the tail and keeps only the head.
 
 use curb_chain::{wal, Block, ChainError, ChainHead, Wal, WalConfig, WalRecord, WalStats};
 use std::collections::VecDeque;
@@ -133,9 +134,15 @@ impl ChainStore {
         self.tail.len()
     }
 
-    /// Transaction ids held in memory: one per committed transaction.
-    pub fn tx_ids(&self) -> usize {
+    /// Transactions on the chain, genesis included (a counter: the
+    /// store holds none of them below the tail).
+    pub fn tx_count(&self) -> usize {
         self.head.tx_count()
+    }
+
+    /// The validating head: tip, height and replay windows.
+    pub fn head(&self) -> &ChainHead {
+        &self.head
     }
 
     /// What [`ChainStore::open`] recovered (zero when ephemeral).
@@ -231,7 +238,7 @@ fn invalid_data(msg: String) -> io::Error {
 mod tests {
     use super::*;
     use curb_chain::wal::encode_record;
-    use curb_chain::{Blockchain, RequestKind, Transaction};
+    use curb_chain::{Blockchain, RequestKind, Transaction, SEQ_WINDOW};
     use proptest::prelude::*;
     use std::fs::{self, OpenOptions};
     use std::io::Write;
@@ -242,8 +249,16 @@ mod tests {
         dir
     }
 
+    /// Request `i`, of switch `i % 4` (so each switch's sequence
+    /// numbers increase with `i`).
     fn tx(i: u64) -> Transaction {
-        Transaction::new(RequestKind::PacketIn, i, i, format!("cfg-{i}").into_bytes())
+        Transaction::new(
+            RequestKind::PacketIn,
+            i % 4,
+            i,
+            format!("cfg-{i}").into_bytes(),
+        )
+        .with_seq(i)
     }
 
     fn push_blocks(store: &mut ChainStore, range: std::ops::RangeInclusive<u64>) {
@@ -339,19 +354,25 @@ mod tests {
             push_blocks(store, 1..=10_000);
             assert_eq!(store.height(), 10_000);
             assert_eq!(store.resident_blocks(), TAIL_BLOCKS);
-            assert_eq!(store.tx_ids(), 10_001);
+            assert_eq!(store.tx_count(), 10_001);
             assert!(store.block_at(10_000 - TAIL_BLOCKS as u64).is_none());
             assert_eq!(
                 store.block_at(10_000).map(Block::hash),
                 Some(store.tip().hash())
             );
-            // A transaction whose block left memory 9 900 blocks ago is
-            // still a duplicate.
-            let replayed = Block::next(store.tip(), vec![tx(100)], 1);
-            assert_eq!(
-                store.append(replayed),
-                Err(ChainError::DuplicateTx(tx(100).id()))
-            );
+            // A request whose block left memory 9 900 blocks ago is far
+            // below its switch's window; one that left 40 blocks ago is
+            // inside it, and seen. Both are stale.
+            for seq in [100, 9_960] {
+                let replayed = Block::next(store.tip(), vec![tx(seq)], 1);
+                assert_eq!(
+                    store.append(replayed),
+                    Err(ChainError::StaleSeq {
+                        switch: seq % 4,
+                        seq
+                    })
+                );
+            }
         }
         // Reopen: the archive alone restores the tip, and verifies.
         let tip_hash = durable.tip().hash();
@@ -454,30 +475,50 @@ mod tests {
     }
 
     /// One step of the differential test: how to derive the candidate
-    /// block from the reference chain's tip.
+    /// block from the reference chain's tip. Kinds `0..6` are invalid.
     fn candidate(chain: &Blockchain, kind: u8, n: u64, fresh: &mut u64) -> Block {
-        let mut next_tx = || {
+        let next_tx = |fresh: &mut u64| {
             *fresh += 1;
             tx(1_000_000 + *fresh)
         };
-        let mut block = Block::next(chain.tip(), vec![next_tx(), next_tx()], n);
+        let mut txs = vec![next_tx(fresh), next_tx(fresh)];
+        match kind {
+            3 => {
+                // A request already on the chain (else one of the
+                // block's own), replayed.
+                let on_chain: Vec<&Transaction> = chain
+                    .iter()
+                    .flat_map(|b| &b.txs)
+                    .filter(|t| t.seq.is_some())
+                    .collect();
+                let replayed = match on_chain.len() {
+                    0 => txs[1].clone(),
+                    len => on_chain[n as usize % len].clone(),
+                };
+                txs.push(replayed);
+            }
+            4 => txs.push(txs[1].clone()),
+            // A window or more below the top the block itself sets.
+            5 => txs.push(tx(txs[1].seq.unwrap() - 4 * SEQ_WINDOW)),
+            6 => txs.clear(),
+            7 => {
+                // Every switch jumps ahead; its window follows.
+                *fresh += 100 * SEQ_WINDOW;
+                txs.push(next_tx(fresh));
+            }
+            8 => {
+                // Unsequenced: no replay check, even for a repeat.
+                txs[0].seq = None;
+                txs[1] = txs[0].clone();
+            }
+            _ => {}
+        }
+        let mut block = Block::next(chain.tip(), txs, n);
         match kind {
             0 => block.header.height += 1 + n % 3,
             1 => block.header.prev_hash = block.header.merkle_root,
             2 => block.txs[0].config.push(0xEE), // body no longer matches the root
-            3 => {
-                // A transaction of an arbitrary earlier block.
-                let earlier = chain.block_at(n % chain.len() as u64).unwrap();
-                let genesis_tx = &chain.block_at(0).unwrap().txs[0];
-                let old = earlier.txs.first().unwrap_or(genesis_tx).clone();
-                block = Block::next(chain.tip(), vec![next_tx(), old], n);
-            }
-            4 => {
-                let twice = block.txs[1].clone();
-                block = Block::next(chain.tip(), vec![next_tx(), twice.clone(), twice], n);
-            }
-            5 => block = Block::next(chain.tip(), Vec::new(), n),
-            _ => {} // valid
+            _ => {}
         }
         block
     }
@@ -491,7 +532,7 @@ mod tests {
         /// once the store has pruned what the chain still holds.
         #[test]
         fn blockchain_and_chain_store_accept_and_reject_identically(
-            steps in prop::collection::vec((0u8..12, 0u64..1_000), 1..120),
+            steps in prop::collection::vec((0u8..14, 0u64..1_000), 1..120),
         ) {
             let mut chain = Blockchain::with_genesis(b"genesis");
             let mut store = ChainStore::ephemeral(b"genesis");
@@ -499,11 +540,11 @@ mod tests {
             for (kind, n) in steps {
                 let block = candidate(&chain, kind, n, &mut fresh);
                 let expected = chain.append(block.clone());
-                prop_assert_eq!(expected.is_err(), (0..5).contains(&kind), "kind {}", kind);
+                prop_assert_eq!(expected.is_err(), kind < 6, "kind {}", kind);
                 prop_assert_eq!(store.append(block), expected);
                 prop_assert_eq!(store.height(), chain.height());
                 prop_assert_eq!(store.tip(), chain.tip());
-                prop_assert_eq!(store.tx_ids(), chain.tx_count());
+                prop_assert_eq!(store.tx_count(), chain.tx_count());
             }
             prop_assert!(chain.verify().is_ok());
         }

@@ -34,7 +34,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+/// Wall-clock microseconds since the UNIX epoch (≈ 2⁵¹ today, far
+/// below [`ANNOUNCE_SEQ_BIT`]): where an agent's sequence numbers
+/// start, and what a node bounds them by.
+pub(crate) fn wall_clock_us() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_micros() as u64)
+}
 
 /// Tuning knobs for an [`SAgent`].
 #[derive(Debug, Clone)]
@@ -223,6 +232,12 @@ pub struct SAgent {
     reap_due: VecDeque<(Instant, RequestKey)>,
     evidence: EvidenceBook,
     table: FlowTable,
+    /// The last sequence number issued. It starts at
+    /// [`wall_clock_us`]: an agent persists nothing, yet the chain
+    /// accepts each `(switch, seq)` once, so a restarted agent must
+    /// number above its previous life — which it does as long as that
+    /// life issued, on average, fewer than one request per microsecond
+    /// and the clock did not step back.
     next_seq: u64,
     events: Sender<(SwitchId, AgentEvent)>,
     probe: Arc<AgentProbe>,
@@ -269,7 +284,7 @@ impl SAgent {
                     audit_due: VecDeque::new(),
                     reap_due: VecDeque::new(),
                     table: FlowTable::new(),
-                    next_seq: 0,
+                    next_seq: wall_clock_us(),
                     events,
                     probe: probe2,
                 };

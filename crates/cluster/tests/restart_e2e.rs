@@ -1,11 +1,12 @@
 //! Restart regression: a multi-node cluster with persistence switched
 //! on gives every controller its own archive directory, and a relaunch
 //! from the same directory restores every node's chain — height, tip
-//! and the ability to extend it.
+//! and the ability to extend it, with a request identical to one of the
+//! first life.
 
 use curb_chain::Block;
 use curb_cluster::{genesis_record, AgentEvent, ChainStore, Cluster, ClusterConfig, PersistConfig};
-use curb_core::SwitchId;
+use curb_core::{ProtoTx, ReqKind, RequestKey, SwitchId};
 use curb_graph::synthetic;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -23,16 +24,17 @@ fn config(dir: &Path) -> ClusterConfig {
     cfg
 }
 
-/// Raises one PACKET_IN and waits for its accept.
-fn commit_round(cluster: &Cluster, switch: usize, dst_host: u32) {
+/// Raises one PACKET_IN and waits for its accept; returns the key it
+/// was accepted under.
+fn commit_round(cluster: &Cluster, switch: usize, dst_host: u32) -> RequestKey {
     cluster.pkt_in(SwitchId(switch), dst_host);
     loop {
         let (_, event) = cluster
             .events
             .recv_timeout(Duration::from_secs(30))
             .expect("round must commit end-to-end");
-        if matches!(event, AgentEvent::Accepted { .. }) {
-            return;
+        if let AgentEvent::Accepted { key, .. } = event {
+            return key;
         }
     }
 }
@@ -86,9 +88,9 @@ fn run() {
     // First life: commit a few rounds, then stop.
     let cluster = Cluster::launch(&topo, config(&dir)).expect("launch");
     let genesis = genesis_record(&cluster.shared, &cluster.epoch0);
-    for round in 0..6u32 {
-        commit_round(&cluster, round as usize % 2, round);
-    }
+    let first_life: Vec<RequestKey> = (0..6u32)
+        .map(|round| commit_round(&cluster, round as usize % 2, round))
+        .collect();
     let height = cluster.max_height();
     assert!(height >= 1);
     settle(&cluster, height);
@@ -114,10 +116,17 @@ fn run() {
             "ctrl{c}"
         );
     }
-    // The agents' sequence numbers restart with them, so a request
-    // identical to one of the first life would be the same transaction
-    // again (and rightly a `DuplicateTx`); ask for a new destination.
-    commit_round(&cluster, 0, 1_000);
+    // The same request as the first life's first round. The restarted
+    // agent numbers it above everything it issued before, so it is not
+    // a replay of that round. (An agent renumbering from 1 would see it
+    // rejected, and commit only a retry under a seq of its first life.)
+    let key = commit_round(&cluster, 0, 0);
+    assert!(
+        first_life
+            .iter()
+            .all(|k| k.switch != key.switch || k.seq < key.seq),
+        "{key:?} reuses a first-life seq: {first_life:?}"
+    );
     settle(&cluster, height + 1);
     cluster.shutdown();
 
@@ -129,6 +138,15 @@ fn run() {
         assert_eq!(store.block_at(height), Some(tip), "controller {c}");
         assert_eq!(store.tip().header.prev_hash, tip.hash(), "controller {c}");
         assert_eq!(store.verify().expect("archive verifies"), height + 1);
+        let committed: Vec<ProtoTx> = store
+            .tip()
+            .txs
+            .iter()
+            .filter_map(ProtoTx::from_chain_tx)
+            .collect();
+        assert_eq!(committed.len(), 1, "controller {c}");
+        assert_eq!(committed[0].record.key, key, "controller {c}");
+        assert_eq!(committed[0].record.kind, ReqKind::PktIn { dst_host: 0 });
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

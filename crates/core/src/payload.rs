@@ -265,9 +265,11 @@ impl ProtoTx {
         .ok()
     }
 
-    /// Converts to a blockchain transaction; the full protocol
-    /// transaction is recorded as the chain transaction's config bytes,
-    /// so it can be reconstructed with [`ProtoTx::from_chain_tx`].
+    /// Converts to a blockchain transaction sequenced by the request's
+    /// `(switch, seq)`, so the chain commits a request at most once.
+    /// The full protocol transaction is recorded as the chain
+    /// transaction's config bytes, so it can be reconstructed with
+    /// [`ProtoTx::from_chain_tx`].
     pub fn to_chain_tx(&self) -> Transaction {
         Transaction::new(
             self.record.kind.chain_kind(),
@@ -275,16 +277,22 @@ impl ProtoTx {
             self.handled_by as u64,
             self.encode(),
         )
+        .with_seq(self.record.key.seq)
     }
 
     /// Reconstructs the protocol transaction from a chain transaction
     /// produced by [`ProtoTx::to_chain_tx`]. Returns `None` for foreign
-    /// transactions (e.g. the genesis init record).
+    /// transactions (e.g. the genesis init record), and for one whose
+    /// chain-level `(switch, seq)` is not its request's key: only a
+    /// request the chain's replay check covered is served.
     pub fn from_chain_tx(tx: &Transaction) -> Option<ProtoTx> {
         if tx.kind == RequestKind::Init {
             return None;
         }
-        ProtoTx::decode(&tx.config)
+        ProtoTx::decode(&tx.config).filter(|p| {
+            let key = p.record.key;
+            (tx.switch, tx.seq) == (key.switch.0 as u64, Some(key.seq))
+        })
     }
 }
 
@@ -495,6 +503,7 @@ mod tests {
         };
         let chain_tx = tx.to_chain_tx();
         assert_eq!(chain_tx.switch, 3);
+        assert_eq!(chain_tx.seq, Some(9));
         assert_eq!(chain_tx.controller, 4);
         assert_eq!(chain_tx.kind, RequestKind::PacketIn);
         // Distinct request seqs yield distinct chain transactions even
@@ -559,6 +568,27 @@ mod tests {
         assert_eq!(ProtoTx::decode(&padded), None);
         // Truncation is rejected.
         assert_eq!(ProtoTx::decode(&valid[..valid.len() - 1]), None);
+    }
+
+    #[test]
+    fn only_a_tx_sequenced_by_its_request_key_is_served() {
+        let tx = ProtoTx {
+            record: record(9),
+            handled_by: 4,
+            config: ConfigData::FlowRules(vec![]),
+        };
+        let sequenced = tx.to_chain_tx();
+        assert_eq!(ProtoTx::from_chain_tx(&sequenced), Some(tx.clone()));
+        let unsequenced = curb_chain::Transaction {
+            seq: None,
+            ..sequenced.clone()
+        };
+        let mut wrong_seq = sequenced.clone().with_seq(10);
+        assert_eq!(ProtoTx::from_chain_tx(&unsequenced), None);
+        assert_eq!(ProtoTx::from_chain_tx(&wrong_seq), None);
+        wrong_seq.seq = Some(9);
+        wrong_seq.switch = 4;
+        assert_eq!(ProtoTx::from_chain_tx(&wrong_seq), None, "wrong switch");
     }
 
     #[test]

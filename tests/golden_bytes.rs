@@ -125,6 +125,34 @@ fn block_bytes_are_pinned() {
     assert_eq!(payload_hex(&BlockPayload(None)), "00");
 }
 
+/// A block at height 1 holding the sequenced chain transaction of
+/// `pkt_in()`, as a final leader proposes it.
+fn sequenced_block() -> Block {
+    Block::next(&Block::genesis(b"v0"), vec![pkt_in().to_chain_tx()], 100)
+}
+
+// As `BLOCK`; the kind byte carries 0x80 and the request's seq follows
+// the switch. The config is the `ProtoTx` of `TX_LIST`'s first entry.
+const SEQUENCED_BLOCK: &str = "
+    0000000000000001
+    ebecb0f1802a4d76c157edc883d992714e60b53abb2c77d556d1c9b8b64f1156
+    9e456f9bb26e89ecda53b7271dda3b5de89eaaa2751196b3ac3dcbe29fa629ad
+    0000000000000064
+    00000001
+    80 0000000000000003 0000000000000007 0000000000000001
+       0000002a
+         0000000000000003 0000000000000007 00 0000000c
+         0000000000000001
+         00 00000001 000a 0000000c 0002
+    00";
+
+#[test]
+fn sequenced_block_bytes_are_pinned() {
+    let block = sequenced_block();
+    assert_eq!(hex(&block.to_bytes()), pinned(SEQUENCED_BLOCK));
+    assert_eq!(Block::from_bytes(&block.to_bytes()), Ok(block));
+}
+
 #[test]
 fn tx_list_bytes_are_pinned() {
     assert_eq!(

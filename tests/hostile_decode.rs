@@ -7,8 +7,9 @@
 //! controls every byte it sends, so a count field must never reserve
 //! memory the rest of the input cannot back.
 //!
-//! A counting global allocator measures the peak. Tests take one lock
-//! in turn, so no other test allocates during a measurement.
+//! A counting global allocator (`tests/common`) measures the peak.
+//! Tests take one lock in turn, so no other test allocates during a
+//! measurement.
 
 use curb::chain::{Block, RequestKind, Transaction};
 use curb::cluster::{ClusterMsg, CtrlPayload, SbMsg};
@@ -22,52 +23,13 @@ use curb::crypto::KeyPair;
 use curb::net::{decode_lane_frame_ref, decode_msg, encode_lane_msg_into, encode_msg, FrameRef};
 use curb::telemetry::TraceCtx;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers every call to `System`; only the byte counters are added.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), SeqCst) + layout.size();
-            PEAK.fetch_max(live, SeqCst);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), SeqCst);
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
+mod common;
+use common::{peak_alloc, serial};
 
 /// The most a decoder may hold at once for an input of `len` bytes.
 fn budget(len: usize) -> usize {
     32 * len + (64 << 10)
-}
-
-/// Bytes allocated above the starting level at the peak of `f`.
-fn peak_alloc(f: impl FnOnce() -> bool) -> (bool, usize) {
-    let base = LIVE.load(SeqCst);
-    PEAK.store(base, SeqCst);
-    let accepted = f();
-    (accepted, PEAK.load(SeqCst).saturating_sub(base))
 }
 
 type Lane = Batch<CtrlPayload>;
@@ -118,7 +80,12 @@ fn block() -> Block {
     let mut signed = Transaction::new(RequestKind::PacketIn, 3, 1, vec![1, 2, 3]);
     signed.sign(&keys, &mut rng);
     let unsigned = Transaction::new(RequestKind::Reassign, 4, 2, re_ass().encode());
-    Block::next(&Block::genesis(b"v0"), vec![signed, unsigned], 100)
+    let sequenced = pkt_in().to_chain_tx();
+    Block::next(
+        &Block::genesis(b"v0"),
+        vec![signed, unsigned, sequenced],
+        100,
+    )
 }
 
 fn pkt_in() -> ProtoTx {

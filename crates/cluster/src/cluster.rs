@@ -13,7 +13,7 @@
 use crate::introspect::{IntrospectServer, IntrospectState};
 use crate::node::{ControllerNode, NodeBehavior, NodeConfig, NodeHandle};
 use crate::payload::CtrlPayload;
-use crate::sagent::{AgentConfig, AgentEvent, AgentHandle, SAgent};
+use crate::sagent::{AgentEvent, AgentHandle, SAgent};
 use curb_assign::{solve, Assignment};
 use curb_consensus::Batch;
 use curb_core::config::PlaneMode;
@@ -321,13 +321,10 @@ impl Cluster {
         let mut agents = Vec::with_capacity(shared.plan.n_switches);
         for s in 0..shared.plan.n_switches {
             let sid = SwitchId(s);
-            let mut agent_cfg = AgentConfig::new(sid, shared.accept_f() + 1);
-            agent_cfg.request_timeout = cfg.request_timeout;
-            agent_cfg.lazy_margin_ns = shared.config.lazy_margin.as_nanos() as u64;
-            agent_cfg.suspect_threshold = shared.config.suspect_threshold;
-            agent_cfg.lazy_patience = shared.config.lazy_patience;
             agents.push(SAgent::spawn(
-                agent_cfg,
+                sid,
+                Arc::clone(&shared),
+                cfg.request_timeout,
                 epoch.ctrl_list(sid).to_vec(),
                 sb_addrs.clone(),
                 events_tx.clone(),

@@ -14,8 +14,8 @@
 //! * **S-agents** ([`SAgent`]) are real TCP clients that raise
 //!   PACKET_IN requests, accept on `f + 1` identical REPLYs, install
 //!   the committed `curb-sdn` flow rules, and turn contradicting or
-//!   missing replies into byzantine evidence — the exact
-//!   [`ReplyMatcher`]/[`EvidenceBook`] types the simulator uses.
+//!   missing replies into byzantine evidence — by driving
+//!   [`AgentMachine`], the same s-agent the simulator runs.
 //! * **Live RE-ASS**: accusations trigger a CAP re-solve; the
 //!   committed `NewAssignment` rotates the epoch on every node while
 //!   the previous epoch's consensus instances drain in flight.
@@ -40,8 +40,7 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! [`ReplyMatcher`]: curb_core::ReplyMatcher
-//! [`EvidenceBook`]: curb_core::EvidenceBook
+//! [`AgentMachine`]: curb_core::AgentMachine
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,5 +66,5 @@ pub use node::{
 };
 pub use payload::CtrlPayload;
 pub use persist::{ChainStore, PersistConfig, RecoveryInfo, TAIL_BLOCKS};
-pub use sagent::{AgentConfig, AgentEvent, AgentHandle, AgentInjector, AgentProbe, SAgent};
+pub use sagent::{AgentEvent, AgentHandle, AgentInjector, AgentProbe, SAgent};
 pub use wire::{ClusterMsg, SbMsg};

@@ -36,11 +36,11 @@
 use crate::payload::CtrlPayload;
 use crate::persist::{ChainStore, PersistConfig};
 use crate::sagent::wall_clock_us;
-use crate::wire::{ClusterMsg, SbMsg, ANNOUNCE_SEQ_BIT};
+use crate::wire::{push_sb_frame, sb_stream, ClusterMsg, SbMsg, SB_MAX_FRAME};
 use curb_assign::{solve, Assignment};
 use curb_chain::{Block, ChainHead, SeqWindow, Transaction};
 use curb_consensus::{Batch, Replica};
-use curb_core::{BlockPayload, FlowRuleSpec};
+use curb_core::{BlockPayload, FlowRuleSpec, ANNOUNCE_SEQ_BIT};
 use curb_core::{
     ConfigData, Epoch, GroupId, ProtoTx, ReqKind, RequestKey, RequestRecord, Shared, SwitchId,
     TxListPayload,
@@ -51,7 +51,7 @@ use curb_telemetry::{
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -114,8 +114,6 @@ pub struct NodeConfig {
     pub drain: Duration,
     /// Idle main-loop sleep.
     pub poll: Duration,
-    /// Maximum southbound frame size.
-    pub max_frame: usize,
     /// Metrics registry this node's consensus runners publish into.
     /// Cloning a `NodeConfig` *shares* the registry (it is an `Arc`
     /// handle) — hand each node its own for per-node introspection.
@@ -134,7 +132,6 @@ impl Default for NodeConfig {
             behavior: NodeBehavior::Honest,
             drain: Duration::from_secs(2),
             poll: Duration::from_millis(1),
-            max_frame: 1 << 20,
             registry: Registry::new(),
             persist: None,
         }
@@ -356,12 +353,9 @@ impl ControllerNode {
             let conns = Arc::clone(&sb_conns);
             let flag = Arc::clone(&shutdown);
             let poll = cfg.poll.max(Duration::from_millis(1));
-            let max_frame = cfg.max_frame;
             thread::Builder::new()
                 .name(format!("curb-node-{id}-southbound"))
-                .spawn(move || {
-                    southbound_accept_loop(southbound, conns, sb_tx, flag, poll, max_frame)
-                })
+                .spawn(move || southbound_accept_loop(southbound, conns, sb_tx, flag, poll))
                 .expect("spawn southbound acceptor");
         }
 
@@ -883,6 +877,9 @@ impl ControllerNode {
     /// committed reassignment.
     fn handle_committed(&mut self, block: &Block) {
         let mut rotation: Option<(Vec<Vec<usize>>, Vec<usize>)> = None;
+        // One write per switch per block, not one per reply: the
+        // southbound sockets send without Nagle delay.
+        let mut replies: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
         for chain_tx in &block.txs {
             let Some(tx) = ProtoTx::from_chain_tx(chain_tx) else {
                 continue;
@@ -902,7 +899,8 @@ impl ControllerNode {
                 };
                 // Hop back: the stored hop-0 context, advanced once,
                 // marks the REPLY leg.
-                self.reply_to(switch, tx.record.key, config, round_ctx.next_hop());
+                let reply = self.reply(tx.record.key, config, round_ctx.next_hop());
+                push_sb_frame(replies.entry(switch.0).or_default(), &reply);
             }
             self.intra_start.remove(&tx.record.key);
             self.pending_keys.remove(&tx.record.key);
@@ -915,22 +913,39 @@ impl ControllerNode {
                 rotation = Some((groups.clone(), accused));
             }
         }
+        self.send_replies(replies);
         if let Some((groups, accused)) = rotation {
             self.maybe_rotate(groups, accused);
         }
     }
 
-    fn reply_to(&self, switch: SwitchId, key: RequestKey, config: ConfigData, ctx: TraceCtx) {
-        let msg = SbMsg::Reply {
+    fn reply(&self, key: RequestKey, config: ConfigData, ctx: TraceCtx) -> SbMsg {
+        SbMsg::Reply {
             controller: self.id as u64,
             key,
             config,
             ctx,
-        };
+        }
+    }
+
+    fn reply_to(&self, switch: SwitchId, key: RequestKey, config: ConfigData, ctx: TraceCtx) {
+        let mut frame = Vec::new();
+        push_sb_frame(&mut frame, &self.reply(key, config, ctx));
+        self.send_replies(BTreeMap::from([(switch.0, frame)]));
+    }
+
+    /// Writes each switch's reply frames to its connection in one go.
+    fn send_replies(&self, replies: BTreeMap<usize, Vec<u8>>) {
         let mut conns = self.sb_conns.lock().expect("southbound registry poisoned");
-        if let Some((_, stream)) = conns.get_mut(&switch.0) {
-            if write_sb_frame(stream, &msg).is_err() {
-                conns.remove(&switch.0);
+        for (switch, frames) in replies {
+            let Some((_, stream)) = conns.get_mut(&switch) else {
+                continue;
+            };
+            if stream.write_all(&frames).is_err() {
+                // A timed-out write may have left half a frame: close
+                // the connection, so the agent re-dials.
+                let _ = stream.shutdown(Shutdown::Both);
+                conns.remove(&switch);
             }
         }
     }
@@ -1146,19 +1161,10 @@ fn build_runtime(
     }
 }
 
-/// Writes one southbound frame (u32 length prefix + body).
 /// Monotonic registration tokens for southbound connections, so a
 /// reader thread that exits late can tell whether the registry entry
 /// for its switch is still its own (see `southbound_reader`).
 static SB_REG_TOKEN: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn write_sb_frame(stream: &mut TcpStream, msg: &SbMsg) -> std::io::Result<()> {
-    let body = msg.encode();
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
-    stream.write_all(&frame)
-}
 
 fn southbound_accept_loop(
     listener: TcpListener,
@@ -1166,7 +1172,6 @@ fn southbound_accept_loop(
     events: Sender<SbEvent>,
     shutdown: Arc<AtomicBool>,
     poll: Duration,
-    max_frame: usize,
 ) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -1176,7 +1181,7 @@ fn southbound_accept_loop(
                 let flag = Arc::clone(&shutdown);
                 let _ = thread::Builder::new()
                     .name("curb-node-sb-reader".to_string())
-                    .spawn(move || southbound_reader(stream, conns, events, flag, max_frame));
+                    .spawn(move || southbound_reader(stream, conns, events, flag));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(poll),
             Err(_) => break,
@@ -1192,8 +1197,10 @@ fn southbound_reader(
     conns: Arc<Mutex<HashMap<usize, (u64, TcpStream)>>>,
     events: Sender<SbEvent>,
     shutdown: Arc<AtomicBool>,
-    max_frame: usize,
 ) {
+    if sb_stream(&stream).is_err() {
+        return;
+    }
     let mut reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -1202,7 +1209,7 @@ fn southbound_reader(
     // Zero-copy decode: reads land straight in the decoder's shared
     // block, and each frame is decoded from its in-place view. The
     // message scratch vec is reused across reads.
-    let mut decoder = SharedDecoder::new(max_frame);
+    let mut decoder = SharedDecoder::new(SB_MAX_FRAME);
     let mut msgs: Vec<Option<SbMsg>> = Vec::new();
     let mut registered: Option<(usize, u64)> = None;
     'outer: while !shutdown.load(Ordering::SeqCst) {

@@ -1,37 +1,27 @@
-//! The s-agent: the switch-side daemon of the Curb architecture,
-//! running as a real TCP client against its controller group.
-//!
-//! A table miss raises PACKET_IN: the agent broadcasts the request to
-//! every controller in its list and collects [`SbMsg::Reply`] frames.
-//! Acceptance is the shared [`ReplyMatcher`] rule — `f + 1` identical
-//! configurations — and the accepted flow rules are installed into a
-//! local [`FlowTable`] via FLOW_MOD, exactly the types the simulator's
-//! switches use. Contradicting or missing replies feed the shared
-//! [`EvidenceBook`]; fresh accusations trigger a live RE-ASS request,
-//! and an accepted `NewAssignment` makes the agent re-home its TCP
-//! connections onto the new controller group.
-//!
-//! Using the same matcher/evidence types as the in-simulator
-//! [`SwitchActor`] means the cluster and the simulation can never
-//! drift apart on what counts as byzantine.
+//! The s-agent as a real TCP client: a socket driver of
+//! [`AgentMachine`], which the simulator's [`SwitchActor`] drives too.
+//! The machine decides what replies mean; this driver keeps one
+//! connection per listed controller (re-homed on an adopted
+//! `NewAssignment`), re-raises unanswered requests, and reports through
+//! [`AgentEvent`]s, spans and flight-recorder events. Its thread blocks
+//! on one inbox (PACKET_INs, replies, shutdown) until the machine's
+//! next deadline.
 //!
 //! [`SwitchActor`]: curb_core::SwitchActor
 
-use crate::node::write_sb_frame;
-use crate::wire::{SbMsg, ANNOUNCE_SEQ_BIT};
+use crate::wire::{sb_stream, write_sb_frame, SbMsg, SB_MAX_FRAME};
 use curb_core::{
-    Audit, ConfigData, EvidenceBook, ReplyMatcher, ReqKind, RequestKey, RequestRecord, SwitchId,
+    AgentMachine, AgentOutput, ConfigData, ReqKind, RequestKey, RequestRecord, Shared, SwitchId,
 };
 use curb_net::SharedDecoder;
-use curb_sdn::{FlowAction, FlowEntry, FlowMatch, FlowMod, FlowTable, HostId, PortId};
 use curb_telemetry::{
     next_trace_nonce, now_nanos, record_event_ctx, record_span_ctx, EventKind, TraceCtx,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -39,47 +29,12 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Wall-clock microseconds since the UNIX epoch (≈ 2⁵¹ today, far
 /// below [`ANNOUNCE_SEQ_BIT`]): where an agent's sequence numbers
 /// start, and what a node bounds them by.
+///
+/// [`ANNOUNCE_SEQ_BIT`]: curb_core::ANNOUNCE_SEQ_BIT
 pub(crate) fn wall_clock_us() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_micros() as u64)
-}
-
-/// Tuning knobs for an [`SAgent`].
-#[derive(Debug, Clone)]
-pub struct AgentConfig {
-    /// The switch this agent fronts.
-    pub switch: SwitchId,
-    /// Replies required before accepting (`f + 1`).
-    pub accept_quorum: usize,
-    /// Replies this much later than the accept are "lazy" evidence.
-    pub lazy_margin_ns: u64,
-    /// Missing-reply strikes before a controller is accused.
-    pub suspect_threshold: u32,
-    /// Lazy strikes before a controller is accused.
-    pub lazy_patience: u32,
-    /// How long to wait for replies before auditing a request.
-    pub request_timeout: Duration,
-    /// Idle loop sleep.
-    pub poll: Duration,
-    /// Maximum southbound frame size.
-    pub max_frame: usize,
-}
-
-impl AgentConfig {
-    /// Defaults for `switch` with quorum `f + 1`.
-    pub fn new(switch: SwitchId, accept_quorum: usize) -> AgentConfig {
-        AgentConfig {
-            switch,
-            accept_quorum,
-            lazy_margin_ns: Duration::from_millis(300).as_nanos() as u64,
-            suspect_threshold: 2,
-            lazy_patience: 5,
-            request_timeout: Duration::from_secs(2),
-            poll: Duration::from_millis(1),
-            max_frame: 1 << 20,
-        }
-    }
 }
 
 /// What an agent observed; the cluster surfaces these on one stream.
@@ -124,12 +79,16 @@ pub struct AgentProbe {
     pub reass_issued: AtomicU64,
     /// `NewAssignment`s adopted.
     pub epochs_adopted: AtomicU64,
-    /// Flow entries currently installed.
+    /// Flow rules installed (the table-miss entry not counted).
     pub flows: AtomicU64,
 }
 
-enum AgentCmd {
-    PktIn { dst_host: u32 },
+/// What the agent thread waits on: a PACKET_IN's destination host, a
+/// controller's reply, or the end.
+enum Inbox {
+    PktIn(u32),
+    Reply(usize, RequestKey, ConfigData),
+    Shutdown,
 }
 
 /// Control surface for a spawned [`SAgent`].
@@ -138,14 +97,14 @@ pub struct AgentHandle {
     pub switch: SwitchId,
     /// Live counters.
     pub probe: Arc<AgentProbe>,
-    cmds: Sender<AgentCmd>,
+    injector: AgentInjector,
     thread: Option<JoinHandle<()>>,
 }
 
 impl AgentHandle {
     /// Raises a PACKET_IN for `dst_host` (a table miss at the switch).
     pub fn pkt_in(&self, dst_host: u32) {
-        let _ = self.cmds.send(AgentCmd::PktIn { dst_host });
+        self.injector.pkt_in(dst_host);
     }
 
     /// A cloneable injection-only handle for driver threads: it can
@@ -153,10 +112,7 @@ impl AgentHandle {
     /// open-loop workload thread can own one while the cluster keeps
     /// the real handle.
     pub fn injector(&self) -> AgentInjector {
-        AgentInjector {
-            switch: self.switch,
-            cmds: self.cmds.clone(),
-        }
+        self.injector.clone()
     }
 
     /// Stops the agent and waits for its thread.
@@ -165,10 +121,8 @@ impl AgentHandle {
     }
 
     fn shutdown_and_join(&mut self) {
-        // The agent loop observes the command channel disconnecting.
         if let Some(t) = self.thread.take() {
-            let (dummy, _) = channel();
-            drop(std::mem::replace(&mut self.cmds, dummy));
+            let _ = self.injector.cmds.send(Inbox::Shutdown);
             let _ = t.join();
         }
     }
@@ -186,84 +140,85 @@ impl Drop for AgentHandle {
 pub struct AgentInjector {
     /// The switch this injector feeds.
     pub switch: SwitchId,
-    cmds: Sender<AgentCmd>,
+    cmds: Sender<Inbox>,
 }
 
 impl AgentInjector {
     /// Raises a PACKET_IN for `dst_host` (a table miss at the switch).
     pub fn pkt_in(&self, dst_host: u32) {
-        let _ = self.cmds.send(AgentCmd::PktIn { dst_host });
+        let _ = self.cmds.send(Inbox::PktIn(dst_host));
     }
 }
 
-/// How many times an unanswered request is re-raised (fresh sequence
-/// number, same intent) before the agent gives up on it. A request can
-/// be lost without any controller misbehaving — e.g. it raced an epoch
-/// rotation and reached a leader that had already stepped down — so a
-/// real switch re-raises PACKET_IN on timeout; the audit strikes for
-/// the lost round still land.
+/// How many times an unanswered request is re-raised under a fresh
+/// sequence number. A request can be lost with no controller at fault
+/// (it raced an epoch rotation to a leader that had stepped down); the
+/// audit strikes for the lost round still land.
 const MAX_RETRIES: u32 = 5;
 
-struct PendingReq {
-    matcher: ReplyMatcher,
-    kind: ReqKind,
-    sent_ns: u64,
-    retries: u32,
-    /// The round's trace context (minted at send; [`TraceCtx::NONE`]
-    /// for controller-initiated announcement matchers).
-    ctx: TraceCtx,
-}
-
-/// The s-agent state machine; owned by its thread.
+/// The socket driver of one switch's [`AgentMachine`]; owned by its
+/// thread.
 pub struct SAgent {
-    cfg: AgentConfig,
+    machine: AgentMachine,
+    /// The origin of the machine's clock.
+    origin: Instant,
     sb_addrs: Vec<SocketAddr>,
-    ctrl_list: Vec<usize>,
     conns: HashMap<usize, TcpStream>,
-    reply_tx: Sender<(usize, SbMsg)>,
-    reply_rx: Receiver<(usize, SbMsg)>,
-    pending: HashMap<RequestKey, PendingReq>,
-    /// Pending requests awaiting their timeout audit, with the time it
-    /// is due. Deadlines are insert time plus a constant, so the queue
-    /// is ordered and only its front is ever looked at.
-    audit_due: VecDeque<(Instant, RequestKey)>,
-    /// Audited requests awaiting removal one more timeout later, so
-    /// late contradictions still count. Ordered like `audit_due`.
-    reap_due: VecDeque<(Instant, RequestKey)>,
-    evidence: EvidenceBook,
-    table: FlowTable,
-    /// The last sequence number issued. It starts at
-    /// [`wall_clock_us`]: an agent persists nothing, yet the chain
-    /// accepts each `(switch, seq)` once, so a restarted agent must
-    /// number above its previous life — which it does as long as that
-    /// life issued, on average, fewer than one request per microsecond
-    /// and the clock did not step back.
-    next_seq: u64,
+    /// Where connection readers deliver replies.
+    inbox: Sender<Inbox>,
+    /// Each open agent-issued round's trace context, by sequence
+    /// number.
+    ctxs: HashMap<u64, TraceCtx>,
     events: Sender<(SwitchId, AgentEvent)>,
     probe: Arc<AgentProbe>,
 }
 
 impl SAgent {
-    /// Spawns the agent on its own thread.
+    /// Spawns the agent for `switch` on its own thread, with the quorum
+    /// and thresholds of `shared.config` and requests audited
+    /// `request_timeout` after they are sent. `sb_addrs[c]` is
+    /// controller `c`'s southbound address, `ctrl_list` the switch's
+    /// Step-0 group; events are tagged with the switch id.
     ///
-    /// `sb_addrs[c]` is controller `c`'s southbound address;
-    /// `ctrl_list` the Step-0 controller group of this switch. Events
-    /// are tagged with the switch id so many agents can share one
-    /// stream.
+    /// Sequence numbers start at [`wall_clock_us`]: an agent persists
+    /// nothing, yet the chain accepts each `(switch, seq)` once, so a
+    /// restarted agent must number above its previous life — which it
+    /// does unless that life averaged over one request per microsecond
+    /// or the clock stepped back.
     ///
     /// # Panics
     ///
     /// Panics if the agent thread cannot be spawned.
     pub fn spawn(
-        cfg: AgentConfig,
+        switch: SwitchId,
+        shared: Arc<Shared>,
+        request_timeout: Duration,
         ctrl_list: Vec<usize>,
         sb_addrs: Vec<SocketAddr>,
         events: Sender<(SwitchId, AgentEvent)>,
     ) -> AgentHandle {
-        let (cmd_tx, cmd_rx) = channel();
-        let probe = Arc::new(AgentProbe::default());
-        let probe2 = Arc::clone(&probe);
-        let switch = cfg.switch;
+        let (inbox_tx, inbox) = channel();
+        let injector = AgentInjector {
+            switch,
+            cmds: inbox_tx.clone(),
+        };
+        let mut agent = SAgent {
+            machine: AgentMachine::new(
+                switch,
+                ctrl_list,
+                &shared,
+                request_timeout,
+                wall_clock_us(),
+            ),
+            origin: Instant::now(),
+            sb_addrs,
+            conns: HashMap::new(),
+            inbox: inbox_tx,
+            ctxs: HashMap::new(),
+            events,
+            probe: Arc::default(),
+        };
+        let probe = Arc::clone(&agent.probe);
         let thread = thread::Builder::new()
             .name(format!("curb-sagent-{}", switch.0))
             .spawn(move || {
@@ -271,311 +226,149 @@ impl SAgent {
                 // carry the agent's node label, which becomes the
                 // clock-domain name in merged multi-node traces.
                 curb_telemetry::set_thread_node(format!("agent{}", switch.0));
-                let (reply_tx, reply_rx) = channel();
-                let mut agent = SAgent {
-                    evidence: EvidenceBook::new(cfg.suspect_threshold, cfg.lazy_patience),
-                    cfg,
-                    sb_addrs,
-                    ctrl_list: Vec::new(),
-                    conns: HashMap::new(),
-                    reply_tx,
-                    reply_rx,
-                    pending: HashMap::new(),
-                    audit_due: VecDeque::new(),
-                    reap_due: VecDeque::new(),
-                    table: FlowTable::new(),
-                    next_seq: wall_clock_us(),
-                    events,
-                    probe: probe2,
-                };
-                agent.adopt_ctrl_list(ctrl_list);
-                agent.run(cmd_rx);
+                agent.rehome();
+                agent.run(inbox);
             })
             .expect("spawn s-agent");
         AgentHandle {
             switch,
             probe,
-            cmds: cmd_tx,
+            injector,
             thread: Some(thread),
         }
     }
 
-    fn run(&mut self, cmds: Receiver<AgentCmd>) {
+    /// Nanoseconds on the machine's clock.
+    fn now(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    fn run(&mut self, inbox: Receiver<Inbox>) {
         loop {
-            let mut progress = false;
-            loop {
-                match cmds.try_recv() {
-                    Ok(AgentCmd::PktIn { dst_host }) => {
-                        self.send_request(ReqKind::PktIn { dst_host });
-                        progress = true;
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        self.disconnect_all();
-                        // cluster.round spans live in this thread's
-                        // local buffer; hand them to the sink.
-                        curb_telemetry::flush_thread();
-                        return;
-                    }
+            let wait = self.machine.next_deadline().map_or(Duration::MAX, |due| {
+                Duration::from_nanos(due.saturating_sub(self.now()))
+            });
+            match inbox.recv_timeout(wait) {
+                Ok(Inbox::PktIn(dst_host)) => self.raise(ReqKind::PktIn { dst_host }, 0),
+                Ok(Inbox::Reply(controller, key, config)) => {
+                    let outputs = self.machine.reply(controller, key, config, self.now());
+                    self.act(outputs);
                 }
+                Err(RecvTimeoutError::Timeout) => {}
+                Ok(Inbox::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
             }
-            while let Ok((controller, msg)) = self.reply_rx.try_recv() {
-                if let SbMsg::Reply { key, config, .. } = msg {
-                    self.on_reply(controller, key, config);
-                    progress = true;
-                }
-            }
-            self.audit_timeouts();
-            if !progress {
-                thread::sleep(self.cfg.poll);
-            }
+            let outputs = self.machine.deadline(self.now());
+            self.act(outputs);
         }
+        for (_, conn) in self.conns.drain() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        // cluster.round spans live in this thread's local buffer; hand
+        // them to the sink.
+        curb_telemetry::flush_thread();
     }
 
-    fn send_request(&mut self, kind: ReqKind) -> RequestKey {
-        self.send_request_with(kind, 0)
+    fn raise(&mut self, kind: ReqKind, retries: u32) {
+        let record = self.machine.raise(kind, retries, self.now());
+        self.broadcast(record);
     }
 
-    fn send_request_with(&mut self, kind: ReqKind, retries: u32) -> RequestKey {
-        self.next_seq += 1;
-        let key = RequestKey {
-            switch: self.cfg.switch,
-            seq: self.next_seq,
-        };
-        let record = RequestRecord {
-            key,
-            kind: kind.clone(),
-        };
-        // Mint the round's cross-process correlation key. The nonce is
-        // a process-global counter (not the per-switch seq) so rounds
-        // from successive cluster runs in one process never collide in
-        // a merged trace.
-        let ctx = TraceCtx::mint(self.cfg.switch.0 as u64, next_trace_nonce());
-        self.track(key, kind, retries, ctx);
+    /// Sends `record` to every controller in the list, under a fresh
+    /// trace context: the nonce is a process-global counter, so rounds
+    /// of successive clusters in one process never collide in a merged
+    /// trace.
+    fn broadcast(&mut self, record: RequestRecord) {
+        let ctx = TraceCtx::mint(record.key.switch.0 as u64, next_trace_nonce());
+        self.ctxs.insert(record.key.seq, ctx);
         let msg = SbMsg::Request { record, ctx };
-        for c in self.ctrl_list.clone() {
+        for c in self.machine.ctrl_list().to_vec() {
             self.write_to(c, &msg);
         }
-        key
     }
 
-    /// Opens the reply matcher for `key` and schedules its audit.
-    fn track(&mut self, key: RequestKey, kind: ReqKind, retries: u32, ctx: TraceCtx) {
-        self.pending.insert(
-            key,
-            PendingReq {
-                matcher: ReplyMatcher::new(self.cfg.accept_quorum, self.cfg.lazy_margin_ns),
-                kind,
-                sent_ns: now_nanos(),
-                retries,
-                ctx,
-            },
-        );
-        self.audit_due
-            .push_back((Instant::now() + self.cfg.request_timeout, key));
+    fn emit(&self, event: AgentEvent) {
+        let _ = self.events.send((self.machine.switch(), event));
     }
 
-    fn on_reply(&mut self, controller: usize, key: RequestKey, config: ConfigData) {
-        if !self.pending.contains_key(&key) {
-            // Controllers push committed reassignments under a
-            // synthetic announce key; open a matcher for it so the
-            // same `f + 1` identical-config rule gates adoption.
-            // Anything else without a pending request is stale or
-            // fabricated and is dropped.
-            if key.seq & ANNOUNCE_SEQ_BIT == 0 || key.switch != self.cfg.switch {
-                return;
-            }
-            // Announcements are controller-initiated; there is nothing
-            // for the agent to re-raise.
-            let kind = ReqKind::ReAss {
-                accused: Vec::new(),
-            };
-            self.track(key, kind, MAX_RETRIES, TraceCtx::NONE);
-        }
-        let pending = self.pending.get_mut(&key).expect("pending entry exists");
-        self.evidence.clear_miss(controller);
-        let now = now_nanos();
-        let outcome = pending.matcher.on_reply(controller, config, now);
-        // Once every controller has answered an agent-issued round, no
-        // later reply can change its outcome: audit it now and forget
-        // it, rather than hold it for two more timeouts. (Announcement
-        // matchers stay, so that stragglers' copies are not mistaken
-        // for a new announcement.)
-        let settled = (key.seq & ANNOUNCE_SEQ_BIT == 0 && pending.matcher.settled(&self.ctrl_list))
-            .then(|| pending.matcher.audit(&self.ctrl_list))
-            .flatten();
-        if let Some(config) = outcome.newly_accepted {
-            let latency_ns = now.saturating_sub(pending.sent_ns);
-            let sent_ns = pending.sent_ns;
-            let ctx = pending.ctx;
-            // Install before announcing: anyone observing `Accepted`
-            // must already see the config's effects (flow table,
-            // ctrl_list) on the agent.
-            self.apply_config(&config);
-            if key.seq & ANNOUNCE_SEQ_BIT == 0 {
-                // Only agent-issued rounds count as accepts; an
-                // announcement quorum just applies (EpochAdopted
-                // is emitted by apply_config).
-                record_span_ctx(
-                    "cluster.round",
-                    sent_ns,
-                    now,
-                    self.cfg.switch.0 as i64,
-                    key.seq as i64,
-                    ctx,
-                );
-                self.probe.accepted.fetch_add(1, Ordering::Relaxed);
-                let _ = self.events.send((
-                    self.cfg.switch,
-                    AgentEvent::Accepted {
-                        key,
-                        config: config.clone(),
-                        latency_ns,
-                    },
-                ));
-            }
-        }
-        if !outcome.contradictors.is_empty() {
-            self.accuse(outcome.contradictors);
-        }
-        if outcome.straggler && self.evidence.lazy_strike(controller) {
-            self.accuse(vec![controller]);
-        }
-        if let Some(audit) = settled {
-            self.pending.remove(&key);
-            let mut accused = Vec::new();
-            strike(&mut self.evidence, audit, &mut accused);
-            if !accused.is_empty() {
-                self.accuse(accused);
-            }
-        }
-    }
-
-    /// Installs an accepted configuration: FLOW_MOD for flow rules,
-    /// connection re-homing for a new assignment.
-    fn apply_config(&mut self, config: &ConfigData) {
-        match config {
-            ConfigData::FlowRules(rules) => {
-                for rule in rules {
-                    let entry = FlowEntry::new(
-                        rule.priority,
-                        FlowMatch::dst_host(HostId(rule.dst_host)),
-                        vec![FlowAction::Output(PortId(rule.out_port))],
+    /// Carries out the machine's outputs.
+    fn act(&mut self, outputs: Vec<AgentOutput>) {
+        let switch = self.machine.switch();
+        for output in outputs {
+            match output {
+                AgentOutput::Request(record) => self.broadcast(record),
+                AgentOutput::Accepted {
+                    key,
+                    config,
+                    latency_ns,
+                } => {
+                    let end = now_nanos();
+                    let ctx = self.ctxs.get(&key.seq).copied().unwrap_or_default();
+                    record_span_ctx(
+                        "cluster.round",
+                        end.saturating_sub(latency_ns),
+                        end,
+                        switch.0 as i64,
+                        key.seq as i64,
+                        ctx,
                     );
-                    FlowMod::add(entry).apply(&mut self.table, now_nanos());
+                    let flows = self.machine.flow_table().len().saturating_sub(1);
+                    self.probe.flows.store(flows as u64, Ordering::Relaxed);
+                    self.probe.accepted.fetch_add(1, Ordering::Relaxed);
+                    self.emit(AgentEvent::Accepted {
+                        key,
+                        config,
+                        latency_ns,
+                    });
                 }
-                self.probe
-                    .flows
-                    .store(self.table.len() as u64, Ordering::Relaxed);
-            }
-            ConfigData::NewAssignment { groups } => {
-                if let Some(list) = groups.get(self.cfg.switch.0) {
-                    self.adopt_ctrl_list(list.clone());
+                AgentOutput::Accused { accused, reass } => {
+                    record_event_ctx(
+                        EventKind::ByzantineFlag,
+                        format!("switch {} accuses {accused:?}", switch.0),
+                        TraceCtx::NONE,
+                    );
+                    self.emit(AgentEvent::Byzantine {
+                        accused: accused.clone(),
+                    });
+                    let ctx = self.ctxs.get(&reass.seq).copied().unwrap_or_default();
+                    record_event_ctx(
+                        EventKind::ReAss,
+                        format!(
+                            "switch {} issued RE-ASS seq {} over {accused:?}",
+                            switch.0, reass.seq
+                        ),
+                        ctx,
+                    );
+                    self.probe.reass_issued.fetch_add(1, Ordering::Relaxed);
+                    self.emit(AgentEvent::ReassIssued {
+                        key: reass,
+                        accused,
+                    });
+                }
+                AgentOutput::Adopted(ctrl_list) => {
+                    self.rehome();
                     self.probe.epochs_adopted.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.events.send((
-                        self.cfg.switch,
-                        AgentEvent::EpochAdopted {
-                            ctrl_list: list.clone(),
-                        },
-                    ));
+                    self.emit(AgentEvent::EpochAdopted { ctrl_list });
+                }
+                AgentOutput::Unanswered { kind, retries } => {
+                    if retries <= MAX_RETRIES {
+                        self.raise(kind, retries);
+                    }
+                }
+                AgentOutput::Closed(outcome) => {
+                    self.ctxs.remove(&outcome.key.seq);
                 }
             }
         }
     }
 
-    /// Request timed out without `f + 1` identical replies: audit who
-    /// never answered and strike them (Algorithm 1's timeout path).
-    /// Touches only the entries that are due.
-    fn audit_timeouts(&mut self) {
-        let now = Instant::now();
-        let mut accused: Vec<usize> = Vec::new();
-        let mut resend: Vec<(ReqKind, u32)> = Vec::new();
-        while let Some(&(due, key)) = self.audit_due.front().filter(|(due, _)| *due <= now) {
-            self.audit_due.pop_front();
-            let Some(pending) = self.pending.get_mut(&key) else {
-                continue;
-            };
-            if let Some(audit) = pending.matcher.audit(&self.ctrl_list) {
-                strike(&mut self.evidence, audit, &mut accused);
-            }
-            // A request that never reached acceptance is re-raised
-            // under a fresh sequence number: it may have raced an
-            // epoch rotation rather than met byzantine silence.
-            if pending.matcher.accepted().is_none() && pending.retries < MAX_RETRIES {
-                resend.push((pending.kind.clone(), pending.retries + 1));
-            }
-            self.reap_due
-                .push_back((due + self.cfg.request_timeout, key));
+    /// Points the agent's connections at the machine's controller list
+    /// (Step 0 or an accepted reassignment).
+    fn rehome(&mut self) {
+        let list = self.machine.ctrl_list().to_vec();
+        for (_, conn) in self.conns.extract_if(|c, _| !list.contains(c)) {
+            let _ = conn.shutdown(Shutdown::Both);
         }
-        while let Some((_, key)) = self.reap_due.front().filter(|(due, _)| *due <= now) {
-            self.pending.remove(key);
-            self.reap_due.pop_front();
-        }
-        if !accused.is_empty() {
-            self.accuse(accused);
-        }
-        for (kind, retries) in resend {
-            self.send_request_with(kind, retries);
-        }
-    }
-
-    /// Records fresh accusations and fires the live RE-ASS request.
-    fn accuse(&mut self, controllers: Vec<usize>) {
-        let fresh = self.evidence.fresh_accusations(controllers);
-        if fresh.is_empty() {
-            return;
-        }
-        record_event_ctx(
-            EventKind::ByzantineFlag,
-            format!("switch {} accuses {:?}", self.cfg.switch.0, fresh),
-            TraceCtx::NONE,
-        );
-        let _ = self.events.send((
-            self.cfg.switch,
-            AgentEvent::Byzantine {
-                accused: fresh.clone(),
-            },
-        ));
-        let key = self.send_request(ReqKind::ReAss {
-            accused: fresh.clone(),
-        });
-        let reass_ctx = self.pending.get(&key).map(|p| p.ctx).unwrap_or_default();
-        record_event_ctx(
-            EventKind::ReAss,
-            format!(
-                "switch {} issued RE-ASS seq {} over {:?}",
-                self.cfg.switch.0, key.seq, fresh
-            ),
-            reass_ctx,
-        );
-        self.probe.reass_issued.fetch_add(1, Ordering::Relaxed);
-        let _ = self.events.send((
-            self.cfg.switch,
-            AgentEvent::ReassIssued {
-                key,
-                accused: fresh,
-            },
-        ));
-    }
-
-    /// Re-homes the agent's connections onto `list` (Step 0 or an
-    /// accepted reassignment).
-    fn adopt_ctrl_list(&mut self, list: Vec<usize>) {
-        let changed = list != self.ctrl_list;
-        self.evidence.adopt_ctrl_list(changed, &list);
-        let stale: Vec<usize> = self
-            .conns
-            .keys()
-            .copied()
-            .filter(|c| !list.contains(c))
-            .collect();
-        for c in stale {
-            if let Some(conn) = self.conns.remove(&c) {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-        self.ctrl_list = list;
-        for c in self.ctrl_list.clone() {
+        for c in list {
             self.ensure_connected(c);
         }
     }
@@ -590,77 +383,46 @@ impl SAgent {
         let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
             return false;
         };
-        let _ = stream.set_nodelay(true);
-        if write_sb_frame(
-            &mut stream,
-            &SbMsg::Hello {
-                switch: self.cfg.switch.0 as u64,
-            },
-        )
-        .is_err()
-        {
+        let hello = SbMsg::Hello {
+            switch: self.machine.switch().0 as u64,
+        };
+        if sb_stream(&stream).is_err() || write_sb_frame(&mut stream, &hello).is_err() {
             return false;
         }
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(_) => return false,
+        let Ok(reader) = stream.try_clone() else {
+            return false;
         };
-        let tx = self.reply_tx.clone();
-        let max_frame = self.cfg.max_frame;
+        let tx = self.inbox.clone();
         let _ = thread::Builder::new()
-            .name(format!("curb-sagent-{}-rx-{controller}", self.cfg.switch.0))
-            .spawn(move || reply_reader(reader, controller, tx, max_frame));
+            .name(format!(
+                "curb-sagent-{}-rx-{controller}",
+                self.machine.switch().0
+            ))
+            .spawn(move || reply_reader(reader, controller, tx));
         self.conns.insert(controller, stream);
         true
     }
 
+    /// Sends `msg` to `controller`, dialling it first if needed. A
+    /// failed write closes the connection; the next send re-dials.
     fn write_to(&mut self, controller: usize, msg: &SbMsg) {
         if !self.ensure_connected(controller) {
             return;
         }
-        let failed = match self.conns.get_mut(&controller) {
-            Some(stream) => write_sb_frame(stream, msg).is_err(),
-            None => false,
-        };
-        if failed {
-            self.conns.remove(&controller);
+        if let Some(stream) = self.conns.get_mut(&controller) {
+            if write_sb_frame(stream, msg).is_err() {
+                let _ = stream.shutdown(Shutdown::Both);
+                self.conns.remove(&controller);
+            }
         }
     }
-
-    fn disconnect_all(&mut self) {
-        for (_, conn) in self.conns.drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Strikes everyone an audit found missing or lazy, collecting those
-/// whose tally now warrants an accusation.
-fn strike(evidence: &mut EvidenceBook, audit: Audit, accused: &mut Vec<usize>) {
-    accused.extend(
-        audit
-            .missing
-            .into_iter()
-            .filter(|m| evidence.miss_strike(*m)),
-    );
-    accused.extend(
-        audit
-            .lazies
-            .into_iter()
-            .filter(|l| evidence.lazy_strike(*l)),
-    );
 }
 
 /// Reads reply frames off one controller connection until it closes.
-fn reply_reader(
-    mut stream: TcpStream,
-    controller: usize,
-    tx: Sender<(usize, SbMsg)>,
-    max_frame: usize,
-) {
+fn reply_reader(mut stream: TcpStream, controller: usize, tx: Sender<Inbox>) {
     // Zero-copy decode: reads land straight in the decoder's shared
     // block; the reply scratch vec is reused across reads.
-    let mut decoder = SharedDecoder::new(max_frame);
+    let mut decoder = SharedDecoder::new(SB_MAX_FRAME);
     let mut msgs: Vec<Option<SbMsg>> = Vec::new();
     loop {
         let n = match stream.read(decoder.writable()) {
@@ -676,8 +438,8 @@ fn reply_reader(
         }
         for msg in msgs.drain(..) {
             match msg {
-                Some(msg @ SbMsg::Reply { .. }) => {
-                    if tx.send((controller, msg)).is_err() {
+                Some(SbMsg::Reply { key, config, .. }) => {
+                    if tx.send(Inbox::Reply(controller, key, config)).is_err() {
                         return;
                     }
                 }

@@ -22,17 +22,43 @@ use curb_chain::codec::{decode_all, decode_block, encode_block, CodecError};
 use curb_chain::Block;
 use curb_core::{ConfigData, RequestKey, RequestRecord, SwitchId, TxListPayload};
 use curb_telemetry::TraceCtx;
+use std::io::{self, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
-/// High bit marking a synthetic [`RequestKey::seq`] used for
-/// controller-initiated REPLYs: when a reassignment commits, every
-/// controller serving a switch (under the outgoing or the incoming
-/// assignment) pushes the new assignment to it under
-/// `ANNOUNCE_SEQ_BIT | epoch` — only the accusing agent has a pending
-/// RE-ASS request to match a direct reply, the rest learn the rotation
-/// from these announcements, under the same `f + 1` identical-config
-/// accept rule. Agent-issued sequence numbers start at 1 and count up,
-/// so the bit cannot collide.
-pub const ANNOUNCE_SEQ_BIT: u64 = 1 << 63;
+/// Largest southbound frame body either side accepts.
+pub(crate) const SB_MAX_FRAME: usize = 1 << 20;
+
+/// How long one southbound write may block before it fails. Well above
+/// a host stall of a few hundred ms, so only a peer that stopped
+/// reading trips it; the writer then drops that connection instead of
+/// stalling its loop behind it.
+pub const SB_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Sets up a southbound stream, on the agent's and the node's side
+/// alike: no Nagle delay, and writes bounded by [`SB_WRITE_TIMEOUT`].
+///
+/// # Errors
+///
+/// The socket option calls' errors.
+pub fn sb_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(SB_WRITE_TIMEOUT))
+}
+
+/// Appends one southbound frame (u32 length prefix + body) to `buf`.
+pub(crate) fn push_sb_frame(buf: &mut Vec<u8>, msg: &SbMsg) {
+    let body = msg.encode();
+    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&body);
+}
+
+/// Writes one southbound frame.
+pub(crate) fn write_sb_frame(stream: &mut TcpStream, msg: &SbMsg) -> io::Result<()> {
+    let mut frame = Vec::new();
+    push_sb_frame(&mut frame, msg);
+    stream.write_all(&frame)
+}
 
 /// A southbound frame body (agent ↔ controller).
 #[derive(Debug, Clone, PartialEq)]

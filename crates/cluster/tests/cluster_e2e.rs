@@ -4,6 +4,7 @@
 //! and live RE-ASS.
 
 use curb_chain::Block;
+use curb_cluster::wire::{sb_stream, SB_WRITE_TIMEOUT};
 use curb_cluster::{
     bootstrap_pinned, genesis_record, AgentEvent, ChainStore, Cluster, ClusterConfig, ClusterMsg,
     ControllerNode, CtrlPayload, NodeBehavior, NodeConfig,
@@ -12,7 +13,8 @@ use curb_consensus::Batch;
 use curb_core::{ConfigData, SwitchId};
 use curb_graph::synthetic;
 use curb_net::{MuxTransport, ReactorConfig};
-use std::net::TcpListener;
+use std::io::{ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -362,5 +364,32 @@ fn block_announcements_that_overtake_their_parent_are_not_lost() {
             std::thread::sleep(Duration::from_millis(10));
         }
         drop(node);
+    });
+}
+
+/// A peer that stops reading must not stall the writer's loop: once
+/// the socket buffers are full, a write on a southbound stream fails
+/// within the write timeout instead of blocking forever.
+#[test]
+fn a_southbound_write_to_a_peer_that_never_reads_fails_within_the_timeout() {
+    with_deadline(60, || {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (_peer, _) = listener.accept().expect("accept"); // never read
+        sb_stream(&stream).expect("set up the stream");
+        let frame = vec![0u8; 1 << 20];
+        let (err, blocked) = loop {
+            let started = Instant::now();
+            if let Err(e) = stream.write_all(&frame) {
+                break (e, started.elapsed());
+            }
+        };
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}"
+        );
+        // One call may time out with a partial write before the next
+        // one fails outright.
+        assert!(blocked < 3 * SB_WRITE_TIMEOUT, "blocked {blocked:?}");
     });
 }

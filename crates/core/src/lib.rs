@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agent;
 pub mod config;
 pub mod controller;
 pub mod epoch;
@@ -58,6 +59,7 @@ pub mod round;
 pub mod shared;
 pub mod switch;
 
+pub use agent::{AgentMachine, AgentOutput, ReqOutcome, ANNOUNCE_SEQ_BIT};
 pub use config::{CurbConfig, PlaneMode};
 pub use epoch::{Epoch, Group};
 pub use ids::{ControllerId, GroupId, NodePlan, SwitchId};
@@ -70,4 +72,4 @@ pub use payload::{
 };
 pub use round::{Audit, EvidenceBook, ReplyMatcher, ReplyOutcome};
 pub use shared::{ControllerBehavior, Shared};
-pub use switch::{ReqOutcome, SwitchActor};
+pub use switch::SwitchActor;

@@ -533,9 +533,9 @@ impl CurbNetwork {
             };
             for o in outcomes {
                 requests += 1;
-                if let Some(at) = o.accepted_at {
+                if let Some(at) = o.accepted_ns.map(SimTime::from_nanos) {
                     accepted += 1;
-                    latencies.push(at.since(o.sent_at));
+                    latencies.push(at.since(SimTime::from_nanos(o.sent_ns)));
                     last_accept = Some(last_accept.map_or(at, |t: SimTime| t.max(at)));
                     if o.is_reassignment {
                         reassignments += 1;

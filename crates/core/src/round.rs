@@ -1,19 +1,17 @@
 //! The shared round workflow: `f + 1` REPLY matching and byzantine
-//! evidence, used by **both** deployments of the s-agent.
+//! evidence, the parts the s-agent is built from.
 //!
 //! Algorithm 1 of the paper (accept a configuration once `f + 1`
 //! identical replies arrive, accuse contradictors) and the Step-4
 //! detection rules (miss strikes, lazy strikes) are pure bookkeeping —
 //! nothing about them depends on whether replies arrive as simulator
 //! events or over a TCP socket. This module holds that single
-//! definition: the discrete-event [`SwitchActor`](crate::SwitchActor)
-//! and the real-socket s-agent in `curb-cluster` both drive a
-//! [`ReplyMatcher`] per request and an [`EvidenceBook`] per agent, so
-//! the two deployments can never drift apart on what counts as
-//! byzantine.
+//! definition: [`AgentMachine`](crate::agent::AgentMachine), the one
+//! s-agent that the simulator and the socket runtime both drive, holds
+//! a [`ReplyMatcher`] per request and an [`EvidenceBook`] per agent.
 //!
 //! Timestamps are plain nanosecond counters: the simulator passes
-//! `SimTime::as_nanos()`, the cluster passes wall-clock nanos.
+//! `SimTime::as_nanos()`, the cluster a monotonic clock's nanos.
 
 use crate::payload::ConfigData;
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,14 +101,19 @@ impl ReplyMatcher {
         self.replies.len()
     }
 
-    /// Whether nothing more can be learned from this request: the
-    /// quorum formed and every controller in `ctrl_list` has replied,
-    /// so the audit can run now instead of at the timeout.
+    /// Whether the request settled clean: the quorum formed and every
+    /// controller in `ctrl_list` replied within the lazy margin, so no
+    /// later reply can change its outcome and its audit would strike
+    /// nobody.
     pub fn settled(&self, ctrl_list: &[usize]) -> bool {
-        self.accepted.is_some()
-            && ctrl_list
+        let Some((_, accepted_at)) = &self.accepted else {
+            return false;
+        };
+        ctrl_list.iter().all(|c| {
+            self.replies
                 .iter()
-                .all(|c| self.replies.iter().any(|(rc, _, _)| rc == c))
+                .any(|(rc, _, t)| rc == c && t.saturating_sub(*accepted_at) <= self.lazy_margin_ns)
+        })
     }
 
     /// Processes one REPLY from `controller` (Algorithm 1, lines

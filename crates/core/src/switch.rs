@@ -1,83 +1,44 @@
-//! The s-agent (switch proxy): Algorithm 1 of the paper, plus the
-//! byzantine-detection rules of Step 4.
+//! The simulator's switch: a `curb-sim` driver of the [`AgentMachine`].
 //!
-//! A switch forwards data-plane packets using its flow table; on a
-//! table miss it buffers the packet and broadcasts a `PKT-IN` request to
-//! its controller group. A configuration is accepted once `f + 1`
-//! identical replies arrive; the flow table (or, for `RE-ASS`, the
-//! controller list) is then updated. The s-agent also watches its
-//! controllers:
-//!
-//! * a controller that fails to reply before the timeout earns a *miss
-//!   strike* (accused after `suspect_threshold` strikes);
-//! * a reply that contradicts the accepted `f + 1` majority triggers an
-//!   *immediate* accusation;
-//! * a reply arriving long after the quorum formed earns a *lazy
-//!   strike* (accused after `lazy_patience` strikes — the paper's
-//!   experiment ❸).
+//! A table miss buffers the packet and raises `PKT-IN`; the machine
+//! decides acceptance and byzantine evidence. This driver signs and
+//! sends requests, arms one timer per request, and releases a buffered
+//! packet through its fresh rule (PACKET_OUT). It never re-raises an
+//! unanswered request: Algorithm 1 does not.
 
+use crate::agent::{AgentMachine, AgentOutput, ReqOutcome};
 use crate::ids::SwitchId;
 use crate::msg::CurbMsg;
-use crate::payload::{ConfigData, ReqKind, RequestKey, RequestRecord, SignedRequest};
-use crate::round::{EvidenceBook, ReplyMatcher};
+use crate::payload::{ConfigData, ReqKind, RequestRecord, SignedRequest};
 use crate::shared::Shared;
 use curb_crypto::rng::DetRng;
 use curb_crypto::KeyPair;
-use curb_sdn::flow::{FlowAction, FlowEntry, FlowMatch, FlowTable};
-use curb_sdn::{FlowMod, HostId, Packet, PortId};
-use curb_sim::{Actor, Context, NodeId, SimTime, TimerTag};
+use curb_sdn::flow::{FlowAction, FlowTable};
+use curb_sdn::Packet;
+use curb_sim::{Actor, Context, NodeId, TimerTag};
 use std::collections::BTreeMap;
-
-/// Outcome of one request, for metrics collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReqOutcome {
-    /// The request.
-    pub key: RequestKey,
-    /// Whether it was a `RE-ASS`.
-    pub is_reassignment: bool,
-    /// When the request was broadcast.
-    pub sent_at: SimTime,
-    /// When `f + 1` matching replies arrived (`None` = never).
-    pub accepted_at: Option<SimTime>,
-}
-
-/// One in-flight request.
-#[derive(Debug)]
-struct Pending {
-    record: RequestRecord,
-    sent_at: SimTime,
-    /// `R_s`: the shared reply-matching state machine.
-    matcher: ReplyMatcher,
-    /// Buffered data packet awaiting the flow rule (PKT-IN only).
-    buffered_packet: Option<Packet>,
-}
 
 /// The switch actor.
 pub struct SwitchActor {
-    id: SwitchId,
     shared: std::sync::Arc<Shared>,
-    /// `ctrList_s`: the switch's current controller group.
-    ctrl_list: Vec<usize>,
+    machine: AgentMachine,
     keys: Option<KeyPair>,
     rng: DetRng,
-    flow_table: FlowTable,
-    next_seq: u64,
-    outstanding: BTreeMap<u64, Pending>,
-    /// Strike tallies and the accused set (shared with the cluster
-    /// s-agent via [`crate::round`]).
-    evidence: EvidenceBook,
+    /// Data packets awaiting their `PKT-IN`'s flow rule, by sequence
+    /// number.
+    buffered: BTreeMap<u64, Packet>,
     /// Data-plane packets successfully forwarded.
     forwarded: u64,
-    /// Completed request outcomes, drained by the orchestrator.
+    /// Closed request outcomes, drained by the orchestrator.
     outcomes: Vec<ReqOutcome>,
 }
 
 impl std::fmt::Debug for SwitchActor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwitchActor")
-            .field("id", &self.id)
-            .field("ctrl_list", &self.ctrl_list)
-            .field("outstanding", &self.outstanding.len())
+            .field("id", &self.machine.switch())
+            .field("ctrl_list", &self.machine.ctrl_list())
+            .field("outstanding", &self.machine.pending())
             .finish()
     }
 }
@@ -91,18 +52,13 @@ impl SwitchActor {
         keys: Option<KeyPair>,
         rng: DetRng,
     ) -> Self {
-        let evidence =
-            EvidenceBook::new(shared.config.suspect_threshold, shared.config.lazy_patience);
+        let machine = AgentMachine::new(id, ctrl_list, &shared, shared.config.timeout, 0);
         SwitchActor {
-            id,
             shared,
-            ctrl_list,
+            machine,
             keys,
             rng,
-            flow_table: FlowTable::with_table_miss(),
-            next_seq: 0,
-            outstanding: BTreeMap::new(),
-            evidence,
+            buffered: BTreeMap::new(),
             forwarded: 0,
             outcomes: Vec::new(),
         }
@@ -110,31 +66,24 @@ impl SwitchActor {
 
     /// Switch id.
     pub fn id(&self) -> SwitchId {
-        self.id
+        self.machine.switch()
     }
 
     /// Current controller list.
     pub fn ctrl_list(&self) -> &[usize] {
-        &self.ctrl_list
+        self.machine.ctrl_list()
     }
 
     /// Replaces the controller list (used by the orchestrator when a
     /// reassignment epoch is installed; normally the switch updates
     /// itself from an accepted `RE-ASS` config).
     pub fn set_ctrl_list(&mut self, list: Vec<usize>) {
-        self.adopt_ctrl_list(list);
-    }
-
-    /// Applies a (possibly identical) controller list with the
-    /// detection bookkeeping of [`EvidenceBook::adopt_ctrl_list`].
-    fn adopt_ctrl_list(&mut self, list: Vec<usize>) {
-        self.evidence.adopt_ctrl_list(list != self.ctrl_list, &list);
-        self.ctrl_list = list;
+        self.machine.adopt_ctrl_list(list);
     }
 
     /// The switch's flow table.
     pub fn flow_table(&self) -> &FlowTable {
-        &self.flow_table
+        self.machine.flow_table()
     }
 
     /// Number of data-plane packets forwarded so far.
@@ -142,38 +91,19 @@ impl SwitchActor {
         self.forwarded
     }
 
-    /// Drains completed request outcomes. Outstanding requests are
-    /// closed as unaccepted if `close_all` is set (round boundary).
+    /// Drains closed request outcomes. Open requests are closed as well
+    /// if `close_all` is set (round boundary).
     pub fn drain_outcomes(&mut self, close_all: bool) -> Vec<ReqOutcome> {
         if close_all {
-            let keys: Vec<u64> = self.outstanding.keys().copied().collect();
-            for seq in keys {
-                let p = self.outstanding.remove(&seq).expect("key exists");
-                self.outcomes.push(ReqOutcome {
-                    key: p.record.key,
-                    is_reassignment: matches!(p.record.kind, ReqKind::ReAss { .. }),
-                    sent_at: p.sent_at,
-                    accepted_at: p.matcher.accepted_at().map(SimTime::from_nanos),
-                });
-            }
+            self.outcomes.extend(self.machine.close_all());
+            self.buffered.clear();
         }
         std::mem::take(&mut self.outcomes)
     }
 
-    fn broadcast_request(
-        &mut self,
-        ctx: &mut Context<'_, CurbMsg>,
-        kind: ReqKind,
-        packet: Option<Packet>,
-    ) {
-        self.next_seq += 1;
-        let record = RequestRecord {
-            key: RequestKey {
-                switch: self.id,
-                seq: self.next_seq,
-            },
-            kind,
-        };
+    /// Signs `record` (when configured), sends it to the controller
+    /// group and arms its deadline.
+    fn broadcast(&mut self, ctx: &mut Context<'_, CurbMsg>, record: RequestRecord) {
         let signature = match (&self.keys, self.shared.config.sign_requests) {
             (Some(keys), true) => {
                 let sig = keys.sign(&record.signing_bytes(), &mut self.rng);
@@ -181,37 +111,30 @@ impl SwitchActor {
             }
             _ => None,
         };
-        let req = SignedRequest {
-            record: record.clone(),
-            signature,
-        };
-        for &c in &self.ctrl_list {
+        let seq = record.key.seq;
+        let req = SignedRequest { record, signature };
+        for &c in self.machine.ctrl_list() {
             let node = self
                 .shared
                 .plan
                 .controller_node(crate::ids::ControllerId(c));
             ctx.send(node, CurbMsg::Request(req.clone()));
         }
-        let accept_quorum = self.shared.accept_f() + 1;
-        self.outstanding.insert(
-            record.key.seq,
-            Pending {
-                record,
-                sent_at: ctx.now(),
-                matcher: ReplyMatcher::new(
-                    accept_quorum,
-                    self.shared.config.lazy_margin.as_nanos() as u64,
-                ),
-                buffered_packet: packet,
-            },
-        );
-        ctx.set_timer(self.shared.config.timeout, self.next_seq);
+        ctx.set_timer(self.shared.config.timeout, seq);
+    }
+
+    fn raise(&mut self, ctx: &mut Context<'_, CurbMsg>, kind: ReqKind) -> u64 {
+        let record = self.machine.raise(kind, 0, ctx.now().as_nanos());
+        let seq = record.key.seq;
+        self.broadcast(ctx, record);
+        seq
     }
 
     /// Data-plane packet arrival: forward on a table hit, or buffer and
     /// raise `PKT-IN` on a miss.
     fn on_host_packet(&mut self, ctx: &mut Context<'_, CurbMsg>, packet: Packet) {
-        match self.flow_table.apply(&packet).map(<[FlowAction]>::first) {
+        let table = self.machine.flow_table_mut();
+        match table.apply(&packet).map(<[FlowAction]>::first) {
             Some(Some(FlowAction::Output(_))) => {
                 self.forwarded += 1;
             }
@@ -219,110 +142,41 @@ impl SwitchActor {
             _ => {
                 // Table miss (or explicit punt): Step 1.
                 let dst_host = packet.dst.0;
-                self.broadcast_request(ctx, ReqKind::PktIn { dst_host }, Some(packet));
+                let seq = self.raise(ctx, ReqKind::PktIn { dst_host });
+                self.buffered.insert(seq, packet);
             }
         }
     }
 
-    /// REPLY arrival (Algorithm 1, lines 3-13).
-    fn on_reply(
-        &mut self,
-        ctx: &mut Context<'_, CurbMsg>,
-        controller: usize,
-        key: RequestKey,
-        config: ConfigData,
-    ) {
-        if key.switch != self.id || !self.ctrl_list.contains(&controller) {
-            return;
-        }
-        let now = ctx.now();
-        // A controller that responds is not "missing": miss strikes are
-        // consecutive, so any reply clears the tally — even when the
-        // request has already been closed out.
-        self.evidence.clear_miss(controller);
-        let Some(pending) = self.outstanding.get_mut(&key.seq) else {
-            return;
-        };
-        let outcome = pending.matcher.on_reply(controller, config, now.as_nanos());
-        if let Some(config) = &outcome.newly_accepted {
-            let packet = pending.buffered_packet.take();
-            self.apply_config(&config.clone(), packet, now);
-        }
-        // Immediate accusation of contradicting controllers (either
-        // pre-quorum contradictors surfacing at acceptance, or a late
-        // reply disagreeing with the accepted config).
-        self.accuse(ctx, outcome.contradictors);
-        if outcome.straggler {
-            // Post-timeout straggler: worse than "lazy within the
-            // timeout" — give it a lazy strike.
-            if self.evidence.lazy_strike(controller) {
-                self.accuse(ctx, vec![controller]);
-            }
-        }
-    }
-
-    /// Applies an accepted configuration (Step 4).
-    fn apply_config(&mut self, config: &ConfigData, packet: Option<Packet>, now: SimTime) {
-        match config {
-            ConfigData::FlowRules(rules) => {
-                // Install through FLOW_MOD commands, as a PACKET_OUT
-                // carrying flow modifications would.
-                for r in rules {
-                    let command = FlowMod::add(FlowEntry::new(
-                        r.priority,
-                        FlowMatch::dst_host(HostId(r.dst_host)),
-                        vec![FlowAction::Output(PortId(r.out_port))],
-                    ));
-                    command.apply(&mut self.flow_table, now.as_nanos());
-                }
-                if let Some(p) = packet {
-                    // PACKET_OUT: release the buffered packet through the
-                    // fresh rule.
-                    if matches!(
-                        self.flow_table.apply(&p).map(<[FlowAction]>::first),
-                        Some(Some(FlowAction::Output(_)))
-                    ) {
-                        self.forwarded += 1;
+    /// Carries out the machine's outputs.
+    fn act(&mut self, ctx: &mut Context<'_, CurbMsg>, outputs: Vec<AgentOutput>) {
+        for output in outputs {
+            match output {
+                AgentOutput::Request(record) => self.broadcast(ctx, record),
+                AgentOutput::Accepted {
+                    key,
+                    config: ConfigData::FlowRules(_),
+                    ..
+                } => {
+                    // PACKET_OUT: release the buffered packet through
+                    // the fresh rule.
+                    if let Some(p) = self.buffered.remove(&key.seq) {
+                        let table = self.machine.flow_table_mut();
+                        let action = table.apply(&p).map(<[FlowAction]>::first);
+                        if matches!(action, Some(Some(FlowAction::Output(_)))) {
+                            self.forwarded += 1;
+                        }
                     }
                 }
-            }
-            ConfigData::NewAssignment { groups } => {
-                if let Some(list) = groups.get(self.id.0) {
-                    self.adopt_ctrl_list(list.clone());
+                AgentOutput::Closed(outcome) => {
+                    self.buffered.remove(&outcome.key.seq);
+                    self.outcomes.push(outcome);
                 }
+                // Accusations travel as their RE-ASS requests, and an
+                // adopted list is already the machine's.
+                _ => {}
             }
         }
-    }
-
-    /// Request-timeout audit: miss strikes, lazy strikes, accusations.
-    fn on_request_timeout(&mut self, ctx: &mut Context<'_, CurbMsg>, seq: u64) {
-        let Some(pending) = self.outstanding.get_mut(&seq) else {
-            return;
-        };
-        let Some(audit) = pending.matcher.audit(&self.ctrl_list) else {
-            return;
-        };
-        let mut to_accuse = Vec::new();
-        for c in audit.missing {
-            if self.evidence.miss_strike(c) {
-                to_accuse.push(c);
-            }
-        }
-        for c in audit.lazies {
-            if self.evidence.lazy_strike(c) {
-                to_accuse.push(c);
-            }
-        }
-        self.accuse(ctx, to_accuse);
-    }
-
-    /// Issues a `RE-ASS` accusing `controllers` (deduplicated).
-    fn accuse(&mut self, ctx: &mut Context<'_, CurbMsg>, controllers: Vec<usize>) {
-        let fresh = self.evidence.fresh_accusations(controllers);
-        if fresh.is_empty() {
-            return;
-        }
-        self.broadcast_request(ctx, ReqKind::ReAss { accused: fresh }, None);
     }
 }
 
@@ -331,21 +185,27 @@ impl Actor<CurbMsg> for SwitchActor {
         match msg {
             CurbMsg::HostPacket { packet } => self.on_host_packet(ctx, packet),
             CurbMsg::TriggerReassign { accused } => {
-                self.broadcast_request(ctx, ReqKind::ReAss { accused }, None);
+                self.raise(ctx, ReqKind::ReAss { accused });
             }
             CurbMsg::Reply {
                 controller,
                 key,
                 config,
-            } => self.on_reply(ctx, controller, key, config),
+            } => {
+                let outputs = self
+                    .machine
+                    .reply(controller, key, config, ctx.now().as_nanos());
+                self.act(ctx, outputs);
+            }
             _ => {
                 // Control-plane internals are not addressed to switches.
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, CurbMsg>, tag: TimerTag) {
-        self.on_request_timeout(ctx, tag);
+    fn on_timer(&mut self, ctx: &mut Context<'_, CurbMsg>, _tag: TimerTag) {
+        let outputs = self.machine.deadline(ctx.now().as_nanos());
+        self.act(ctx, outputs);
     }
 }
 
@@ -354,7 +214,8 @@ mod tests {
     use super::*;
     use crate::config::CurbConfig;
     use crate::ids::NodePlan;
-    use crate::payload::FlowRuleSpec;
+    use crate::payload::{FlowRuleSpec, RequestKey};
+    use curb_sdn::HostId;
     use curb_sim::Simulation;
     use std::sync::Arc;
     use std::time::Duration;
